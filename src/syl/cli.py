@@ -90,7 +90,7 @@ def _config_echo(args: argparse.Namespace, keys) -> dict:
 
 def _cmd_solve_annulus(args):
     _require(args, "n", "k", "R")
-    _defaults(args, c1=0.0, c2=0.0, scan_num=2000, threads=None)
+    _defaults(args, c1=0.0, c2=0.0, scan_num=2000)
     problem = radial.AnnulusProblem(int(args.n), int(args.k), float(args.R),
                                     float(args.c1), float(args.c2))
     scan = None
@@ -98,7 +98,7 @@ def _cmd_solve_annulus(args):
         _require(args, "scan_lo", "scan_hi")
         scan = shooting.ScanSpec(float(args.scan_lo), float(args.scan_hi),
                                  int(args.scan_num))
-    result = shooting.solve_annulus(problem, scan=scan, threads=args.threads)
+    result = shooting.solve_annulus(problem, scan=scan)
     echo_keys = ["n", "k", "R", "c1", "c2", "scan_lo", "scan_hi", "scan_num",
                  "seed"]
     payload = {
@@ -129,11 +129,11 @@ def _cmd_solve_annulus(args):
 
 def _cmd_rstar(args):
     _require(args, "n", "k", "c1", "c2")
-    _defaults(args, r_init=1.01, r_max=64.0, rel_tol=1e-4, threads=None)
+    _defaults(args, r_init=1.01, r_max=64.0, rel_tol=1e-4)
     result = shooting.find_r_star(
         int(args.n), int(args.k), float(args.c1), float(args.c2),
         r_init=float(args.r_init), R_max=float(args.r_max),
-        rel_tol=float(args.rel_tol), threads=args.threads)
+        rel_tol=float(args.rel_tol))
     payload = {
         "command": "rstar",
         "config": _config_echo(args, ["n", "k", "c1", "c2", "r_init",
@@ -365,7 +365,7 @@ def build_parser() -> _Parser:
     for name, typ in [("--n", int), ("--k", int), ("--R", float),
                       ("--c1", float), ("--c2", float),
                       ("--scan-lo", float), ("--scan-hi", float),
-                      ("--scan-num", int), ("--threads", int)]:
+                      ("--scan-num", int)]:
         sp.add_argument(name, type=typ, default=None)
     _add_common(sp)
     sp.set_defaults(func=_cmd_solve_annulus)
@@ -373,8 +373,7 @@ def build_parser() -> _Parser:
     sp = subs.add_parser("rstar", help="threshold-radius search")
     for name, typ in [("--n", int), ("--k", int), ("--c1", float),
                       ("--c2", float), ("--r-init", float),
-                      ("--r-max", float), ("--rel-tol", float),
-                      ("--threads", int)]:
+                      ("--r-max", float), ("--rel-tol", float)]:
         sp.add_argument(name, type=typ, default=None)
     _add_common(sp)
     sp.set_defaults(func=_cmd_rstar)

@@ -9,8 +9,9 @@ equation into the autonomous second-order ODE
 valid while |xi_t| < 1 (the elliptic branch; the equation degenerates at
 the endpoints when k >= 2).  This module provides the coordinate maps,
 the right-hand side with its guards, an adaptive integrator with event
-truncation, Robin boundary residuals in xi-form, and reconstruction of
-the annulus profile u(r) together with its Schouten eigenvalues.
+truncation, a lane-batched twin of it that advances many seeds at once,
+Robin boundary residuals in xi-form, and reconstruction of the annulus
+profile u(r) together with its Schouten eigenvalues.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import schouten, symfn
 
 __all__ = [
     "ETA_GUARD",
+    "TERMINATIONS",
     "theta_constant",
     "AnnulusProblem",
     "RadialState",
@@ -35,6 +37,7 @@ __all__ = [
     "ode_rhs",
     "ode_invariant",
     "integrate",
+    "integrate_lanes",
     "inner_bc_residual",
     "outer_bc_residual",
     "reconstruct",
@@ -45,6 +48,11 @@ __all__ = [
 # Ellipticity guard on 1 - xi_t^2: trajectories are truncated by event
 # before the degenerate set is reached, never stepped across it.
 ETA_GUARD = 1e-12
+
+# Why an integration stopped (``Trajectory.termination`` also allows
+# ``event:<index>`` for caller-supplied events).
+TERMINATIONS = ("reached_T", "ellipticity_breakdown", "cone_exit",
+                "step_failure")
 
 
 def theta_constant(n: int, k: int) -> float:
@@ -71,6 +79,8 @@ class AnnulusProblem:
             raise ValueError(f"k={self.k} out of range for n={self.n}")
         if not self.R > 1.0:
             raise ValueError("outer radius must exceed 1")
+        if not all(math.isfinite(v) for v in (self.R, self.c1, self.c2)):
+            raise ValueError("R, c1 and c2 must be finite")
 
     @property
     def theta(self) -> float:
@@ -276,8 +286,7 @@ def integrate(
                     rtol=rtol, atol=atol, dense_output=True, events=events)
 
     if sol.status == -1:
-        w_end = 1.0 - float(sol.y[1, -1]) ** 2
-        if ode_invariant(y0[0], y0[1], n, k) < 0.0 and w_end < 1e-4:
+        if _certified_breakdown(y0[0], y0[1], float(sol.y[1, -1]), n, k):
             termination = "ellipticity_breakdown"
         else:
             termination = "step_failure"
@@ -296,6 +305,190 @@ def integrate(
         termination = "reached_T"
         t_end = float(T_max)
     return Trajectory(n, k, sol, termination, t_end)
+
+
+def _certified_breakdown(xi0, xi_t0, xi_t_last, n, k):
+    """Whether a step failure is the orbit reaching |xi_t| = 1.
+
+    A negative invariant certifies that the orbit from (xi0, xi_t0)
+    reaches the degenerate set in finite time; together with a last
+    resolved state close to it, the failure is ellipticity breakdown.
+    Accepts arrays.
+    """
+    return ((ode_invariant(xi0, xi_t0, n, k) < 0.0)
+            & (1.0 - xi_t_last ** 2 < 1e-4))
+
+
+# Dormand-Prince 5(4) (Dormand & Prince 1980, J. Comput. Appl. Math.
+# 6:19-26; Hairer-Norsett-Wanner, Solving ODEs I, Sec. II.4): stage
+# coefficients, 5th-order weights, and error weights E = b5 - b4 over the
+# six stages plus the first-same-as-last seventh.  With the controller
+# constants below this is the method scipy's RK45 steps with, so the
+# lanes of integrate_lanes take the steps integrate takes.
+_DP_A = tuple(np.array(row) for row in (
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+))
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
+                  -22 / 525, 1 / 40])
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1 / 5
+
+
+def _lane_rhs(y, k, th, beta):
+    """The clamped right-hand side of :func:`integrate` on (2, m) states.
+
+    Returns (f, w): the derivative and the clamped 1 - xi_t^2.
+    """
+    v = np.where(np.abs(y[1]) < 1e150, y[1], 1e150)
+    w = np.maximum(1.0 - v * v, 1e-30)
+    growth = np.exp(np.minimum(-2.0 * k * y[0], 700.0))
+    return np.stack((y[1], th * growth * w ** (1 - k) - beta * w)), w
+
+
+def _lane_events(f, w, n, k):
+    """(events, m) values of the terminal events of :func:`integrate`.
+
+    Row 0 is the ellipticity guard, computed from the clamped w, which
+    gives it the sign of the unclamped guard: only signs are tested.  For
+    k >= 2 row 1 is the cone-exit bracket at l = k, the smallest of the
+    l = 1..k brackets ``integrate`` takes the minimum of, because
+    (n - l)/l falls as l grows.
+    """
+    rows = [w - ETA_GUARD]
+    if k >= 2:
+        rows.append(f[1] - 0.5 * w + (n - k) / k * (0.5 * w))
+    return np.stack(rows)
+
+
+def _rms(a):
+    """scipy's RMS norm over the two state components, per lane."""
+    return np.sqrt(a[0] * a[0] + a[1] * a[1]) / 2 ** 0.5
+
+
+def _initial_step(y, f, T, k, th, beta, rtol, atol):
+    """scipy's starting step (Hairer-Norsett-Wanner II.4), per lane.
+
+    ``np.where(b < a, b, a)`` is Python's ``min(a, b)`` and keeps its
+    handling of nan, which ``np.minimum`` does not.
+    """
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.where(T < h0, T, h0)
+    f1, _ = _lane_rhs(y + h0 * f, k, th, beta)
+    d2 = _rms((f1 - f) / scale) / h0
+    d12 = np.where(d2 > d1, d2, d1)
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                  np.where(h0 * 1e-3 > 1e-6, h0 * 1e-3, 1e-6),
+                  (0.01 / d12) ** (1 / 5))
+    h = np.where(h1 < 100 * h0, h1, 100 * h0)
+    return np.where(T < h, T, h)
+
+
+def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
+                    rtol: float = 1e-10, atol: float = 1e-12):
+    """Integrate many seeds of the radial ODE from t = 0 to t = T at once.
+
+    Each lane is one admissible seed (xi0, xi_t0) with its own step size,
+    and runs the controller of :func:`integrate` (scipy's RK45): the same
+    tableau, starting step and RMS error norm; safety factor 0.9, step
+    factors clamped to [0.2, 10] and no growth straight after a rejected
+    trial; a nan error norm shrinks the step by 0.2; a step below ten
+    ulps of t fails.  After every accepted step the terminal events of
+    :func:`integrate` are tested by the sign of their values at the ends
+    of the step, which is how scipy detects them, so each lane stops
+    where ``integrate`` would.  Events are not located: a lane that
+    stops early reports nan for its state.  One that trips both events in
+    one step is reported as ``ellipticity_breakdown``.  Finished lanes
+    leave the working arrays, so the cost per step follows the live
+    lanes.
+
+    Returns (xi, xi_t, termination): the state at T and the cause, one of
+    ``TERMINATIONS``, each shaped like the seeds.
+    """
+    shape = np.shape(xi0)
+    y0 = np.array([np.ravel(xi0), np.ravel(xi_t0)], dtype=float)
+    if not np.all(1.0 - y0[1] ** 2 > ETA_GUARD):
+        raise ValueError("initial state is not admissible")
+    if not 0.0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
+    th = theta_constant(n, k)
+    beta = (n - 2.0 * k) / (2.0 * k)
+    m = y0.shape[1]
+    out = np.full((2, m), np.nan)
+    cause = np.zeros(m, dtype=int)  # index into TERMINATIONS
+
+    with np.errstate(all="ignore"):
+        lane = np.arange(m)
+        y = y0
+        f, w = _lane_rhs(y, k, th, beta)
+        g = _lane_events(f, w, n, k)
+        h = _initial_step(y, f, T, k, th, beta, rtol, atol)
+        t = np.zeros(m)
+        rejected = np.zeros(m, dtype=bool)
+        K = np.empty((7, 2, m))
+        while lane.size:
+            min_step = 10.0 * np.spacing(t)
+            h = np.where(~rejected & (h < min_step), min_step, h)
+            failed = ~(h >= min_step)
+            t_new = np.minimum(t + h, T)
+            h = t_new - t
+
+            K[0] = f
+            for s, a in enumerate(_DP_A, start=1):
+                dy = (a @ K[:s].reshape(s, -1)).reshape(y.shape) * h
+                K[s], _ = _lane_rhs(y + dy, k, th, beta)
+            y_new = y + h * (_DP_B @ K[:6].reshape(6, -1)).reshape(y.shape)
+            K[6], w = _lane_rhs(y_new, k, th, beta)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms((_DP_E @ K.reshape(7, -1)).reshape(y.shape) * h
+                       / scale)
+
+            accept = (err < 1.0) & ~failed
+            power = _SAFETY * err ** _ERROR_EXPONENT
+            grow = np.where(err == 0.0, _MAX_FACTOR,
+                            np.minimum(_MAX_FACTOR, power))
+            grow = np.where(rejected, np.minimum(1.0, grow), grow)
+            # fmax ignores a nan norm, as Python's max(0.2, nan) does.
+            h = h * np.where(accept, grow, np.fmax(_MIN_FACTOR, power))
+            rejected = ~accept
+
+            g_new = _lane_events(K[6], w, n, k)
+            fired = accept & (((g <= 0.0) & (g_new >= 0.0))
+                              | ((g >= 0.0) & (g_new <= 0.0)))
+            g = np.where(accept, g_new, g)
+            y = np.where(accept, y_new, y)
+            f = np.where(accept, K[6], f)
+            t = np.where(accept, t_new, t)
+
+            stopped = fired.any(axis=0)
+            reached = accept & (t >= T) & ~stopped
+            out[:, lane[reached]] = y[:, reached]
+            if k >= 2:
+                cause[lane[fired[1]]] = 2
+            cause[lane[fired[0]]] = 1
+            if failed.any():
+                gone = lane[failed]
+                broke = _certified_breakdown(y0[0, gone], y0[1, gone],
+                                             y[1, failed], n, k)
+                cause[gone] = np.where(broke, 1, 3)
+
+            live = ~(reached | stopped | failed)
+            if not live.all():
+                lane, y, f, g, h, t, rejected = (
+                    lane[live], y[:, live], f[:, live], g[:, live], h[live],
+                    t[live], rejected[live])
+                K = np.empty((7, 2, lane.size))
+
+    termination = np.asarray(TERMINATIONS)[cause].reshape(shape)
+    return out[0].reshape(shape), out[1].reshape(shape), termination
 
 
 def inner_bc_residual(state: RadialState, c1: float) -> float:

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +31,7 @@ from .radial import (
     AnnulusProblem,
     RadialState,
     integrate,
+    integrate_lanes,
     ode_rhs,
     outer_bc_residual,
     theta_constant,
@@ -61,19 +60,6 @@ __all__ = [
 # Seeds are clipped slightly inside the ellipticity guard so the very
 # first integrator step is well-posed.
 SEED_MARGIN = 1e-9
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count for scan evaluation: explicit arg, else SYL_THREADS."""
-    if threads is not None:
-        return max(1, int(threads))
-    raw = os.environ.get("SYL_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return 1
 
 
 def cylinder_solution(n: int, k: int) -> tuple[float, float]:
@@ -116,6 +102,8 @@ class ScanSpec:
     num: int = 2000
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError("scan window must be finite")
         if not self.lo < self.hi:
             raise ValueError("scan window must have lo < hi")
         if self.num < 2:
@@ -191,10 +179,31 @@ def _seed_state(s: float, c1: float) -> RadialState | None:
 
 def _make_residual(problem: AnnulusProblem, rtol: float, atol: float,
                    want_trajectory: bool = False):
-    """Outer-residual-of-inner-value map; nan marks unevaluable seeds."""
+    """Outer-residual-of-inner-value map; nan marks unevaluable seeds.
+
+    A 1-D array of seeds is integrated at once, as lanes of
+    :func:`integrate_lanes`, and gives the array of residuals.  A scalar
+    seed runs :func:`integrate`, whose dense trajectory the refinement,
+    polish and solution stages need; ``want_trajectory`` then also
+    returns that trajectory.  Both end every seed the same way.
+    """
     T = problem.T
 
-    def fn(s: float):
+    def lanes(seeds: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            xi_t0 = problem.c1 * np.exp(-seeds)
+        ok = np.abs(xi_t0) <= 1.0 - SEED_MARGIN
+        out = np.full(seeds.shape, math.nan)
+        if ok.any():
+            xi, xi_t, _ = integrate_lanes(seeds[ok], xi_t0[ok], T,
+                                          problem.n, problem.k,
+                                          rtol=rtol, atol=atol)
+            out[ok] = xi_t + problem.c2 * np.exp(-xi) / problem.R
+        return out
+
+    def fn(s):
+        if np.ndim(s):
+            return lanes(np.asarray(s, dtype=float))
         seed = _seed_state(s, problem.c1)
         if seed is None:
             return (math.nan, None) if want_trajectory else math.nan
@@ -210,19 +219,10 @@ def _make_residual(problem: AnnulusProblem, rtol: float, atol: float,
 
 def _nan_runs(values: np.ndarray):
     """(interior_runs, leading, trailing): maximal nan runs in the scan."""
-    isnan = np.isnan(values)
-    runs = []
-    i = 0
     m = values.size
-    while i < m:
-        if isnan[i]:
-            j = i
-            while j < m and isnan[j]:
-                j += 1
-            runs.append((i, j - 1))
-            i = j
-        else:
-            i += 1
+    edges = np.diff(np.isnan(values).astype(np.int8), prepend=0, append=0)
+    runs = zip(np.flatnonzero(edges == 1).tolist(),
+               (np.flatnonzero(edges == -1) - 1).tolist())
     leading = trailing = 0
     interior = []
     for (a, b) in runs:
@@ -247,15 +247,15 @@ def solve_annulus(
     merge_tol: float = 1e-6,
     gap_limit: int = 10,
     polish: bool = True,
-    threads: int | None = None,
 ) -> ShootingResult:
     """Find every rotationally symmetric solution on the annulus.
 
     Stage one evaluates the outer residual on the scan grid at relaxed
-    integrator tolerance and brackets its sign changes; stage two refines
-    each bracket with brentq and, when ``polish`` is set, re-brackets and
-    re-solves at tight tolerance until the outer residual is below
-    ``residual_bound``.  Nearby roots (within ``merge_tol``) are merged.
+    integrator tolerance, every seed at once as integrator lanes, and
+    brackets its sign changes; stage two refines each bracket with brentq
+    and, when ``polish`` is set, re-brackets and re-solves at tight
+    tolerance until the outer residual is below ``residual_bound``.
+    Nearby roots (within ``merge_tol``) are merged.
 
     Unevaluable seeds -- ellipticity breakdown before the outer boundary,
     cone exit, or an inadmissible seed velocity -- appear as nan entries
@@ -268,15 +268,7 @@ def solve_annulus(
         scan = default_scan(problem.n, problem.k)
     grid = scan.grid
     coarse = _make_residual(problem, scan_rtol, scan_atol)
-
-    workers = resolve_threads(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            residuals = np.fromiter(pool.map(coarse, grid),
-                                    dtype=float, count=grid.size)
-    else:
-        residuals = np.fromiter((coarse(s) for s in grid),
-                                dtype=float, count=grid.size)
+    residuals = coarse(grid)
 
     diag = ShootingDiagnostics(grid=grid, residuals=residuals)
     interior, lead, trail = _nan_runs(residuals)
@@ -284,17 +276,17 @@ def solve_annulus(
     diag.truncated_low = lead
     diag.truncated_high = trail
 
-    # Bracket sign changes between adjacent evaluated cells.
-    for i in range(grid.size - 1):
-        a, b = residuals[i], residuals[i + 1]
-        if math.isnan(a) or math.isnan(b):
-            continue
-        if a == 0.0:
-            diag.brackets.append((grid[i], grid[i]))
-        elif a * b < 0.0:
-            diag.brackets.append((grid[i], grid[i + 1]))
-    if grid.size and residuals[-1] == 0.0:
-        diag.brackets.append((grid[-1], grid[-1]))
+    # Bracket sign changes between adjacent evaluated cells; an exact
+    # zero is its own bracket.  The last cell has no right neighbour.
+    a, b = residuals[:-1], residuals[1:]
+    both = ~(np.isnan(a) | np.isnan(b))
+    zero = both & (a == 0.0)
+    left = np.flatnonzero(zero | (both & (a * b < 0.0)))
+    right = np.where(zero[left], left, left + 1)
+    if residuals[-1] == 0.0:
+        left = np.append(left, grid.size - 1)
+        right = np.append(right, grid.size - 1)
+    diag.brackets = list(zip(grid[left], grid[right]))
 
     def guarded(fn):
         def wrapped(s):
@@ -412,7 +404,6 @@ def find_r_star(
     scan: ScanSpec | None = None,
     scan_rtol: float = 1e-7,
     scan_atol: float = 1e-9,
-    threads: int | None = None,
 ) -> RStarResult:
     """Smallest outer radius at which the annulus problem is solvable.
 
@@ -439,8 +430,7 @@ def find_r_star(
     def solvable(R: float) -> bool | None:
         result = solve_annulus(
             AnnulusProblem(n, k, R, c1, c2), scan=scan,
-            scan_rtol=scan_rtol, scan_atol=scan_atol,
-            polish=False, threads=threads)
+            scan_rtol=scan_rtol, scan_atol=scan_atol, polish=False)
         history.append((R, result.status, len(result.solutions)))
         if result.status == "inconclusive":
             return None
@@ -530,7 +520,6 @@ def verify_bifurcation(
     scan_atol: float = 1e-11,
     span: float = 0.1,
     rel_tol: float = 2e-4,
-    threads: int | None = None,
 ) -> BifurcationResult:
     """Locate the branch-count jump of the zero-Robin annulus problem.
 
@@ -548,8 +537,7 @@ def verify_bifurcation(
     def count(R: float) -> int:
         result = solve_annulus(
             AnnulusProblem(n, k, R, 0.0, 0.0), scan=scan,
-            scan_rtol=scan_rtol, scan_atol=scan_atol,
-            polish=False, threads=threads)
+            scan_rtol=scan_rtol, scan_atol=scan_atol, polish=False)
         history.append((R, len(result.solutions)))
         return len(result.solutions)
 

@@ -145,6 +145,7 @@ def test_verify_radial_suite(capsys):
     ["verify", "--suite", "no-such-suite"],
     ["counterexample", "--n", "5", "--k", "2", "--c", "-1.0",
      "--delta", "0.05", "--eps", "0.2"],                   # eps above delta
+    ["solve-annulus", "--n", "5", "--k", "2", "--R", "inf"],  # infinite radius
 ])
 def test_invalid_input_exits_one_with_stderr_message(capsys, argv):
     code, out, err = _run(capsys, argv)

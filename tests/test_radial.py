@@ -29,6 +29,15 @@ def test_annulus_problem_validation_and_derived_fields():
         radial.AnnulusProblem(2, 1, 2.0)
 
 
+@pytest.mark.parametrize("R,c1,c2", [(math.inf, 0.0, 0.0),
+                                     (math.nan, 0.0, 0.0),
+                                     (4.0, math.nan, 0.0),
+                                     (4.0, 0.0, -math.inf)])
+def test_annulus_problem_rejects_non_finite_data(R, c1, c2):
+    with pytest.raises(ValueError):
+        radial.AnnulusProblem(5, 2, R, c1, c2)
+
+
 def test_coordinate_maps_roundtrip():
     rng = np.random.default_rng(8)
     for n in (3, 5, 8):

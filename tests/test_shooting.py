@@ -62,6 +62,13 @@ def test_scan_spec_validates_window():
         shooting.ScanSpec(0.0, 1.0, num=1)
 
 
+@pytest.mark.parametrize("lo,hi", [(-math.inf, 0.0), (0.0, math.inf),
+                                   (math.nan, 1.0), (0.0, math.nan)])
+def test_scan_spec_rejects_non_finite_window(lo, hi):
+    with pytest.raises(ValueError):
+        shooting.ScanSpec(lo, hi)
+
+
 def test_scan_spec_grid_and_spacing():
     spec = shooting.ScanSpec(-1.0, 3.0, num=5)
     assert np.allclose(spec.grid, [-1.0, 0.0, 1.0, 2.0, 3.0])
@@ -125,28 +132,50 @@ def test_solve_annulus_empty_on_thin_mean_convex_annulus():
     assert result.diagnostics.gap_runs == []
 
 
-def test_solve_annulus_thread_pool_is_deterministic():
-    xi_c = shooting.cylinder_solution(5, 2)[0]
-    spec = shooting.ScanSpec(xi_c - 2.0, xi_c + 2.0, 201)
-    problem = AnnulusProblem(5, 2, 5.0, 0.0, 0.0)
-    serial = shooting.solve_annulus(problem, scan=spec, threads=1)
-    pooled = shooting.solve_annulus(problem, scan=spec, threads=3)
-    assert [s.xi0 for s in serial] == [s.xi0 for s in pooled]
-    assert [s.residual for s in serial] == [s.residual for s in pooled]
-    assert np.array_equal(serial.diagnostics.residuals,
-                          pooled.diagnostics.residuals, equal_nan=True)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n,k,R,c1,c2", [(4, 1, 5.0, -0.5, 0.3),
+                                         (5, 2, 5.0, -0.5, 0.0),
+                                         (7, 3, 6.0, 0.5, -0.2)])
+def test_lane_scan_agrees_with_per_seed_integration(n, k, R, c1, c2):
+    problem = AnnulusProblem(n, k, R, c1, c2)
+    grid = shooting.ScanSpec(-5.0, 5.0, 121).grid
+    lanes = shooting._make_residual(problem, 1e-7, 1e-9)(grid)
+    per_seed = shooting._make_residual(problem, 1e-7, 1e-9,
+                                       want_trajectory=True)
+    with np.errstate(all="ignore"):  # scipy's rejected trial steps overflow
+        ref = [per_seed(float(s)) for s in grid]
+    ref_res = np.array([res for res, _ in ref])
+    assert np.array_equal(np.isnan(lanes), np.isnan(ref_res))
+    finite = ~np.isnan(ref_res)
+    assert np.max(np.abs(lanes[finite] - ref_res[finite])) <= 1e-9
+
+    # Every lane ends as its per-seed trajectory does, and the grid holds
+    # both kinds of unevaluable seed: inadmissible for the inner Robin
+    # constant, and breaking down before the outer boundary.
+    admissible = np.array([traj is not None for _, traj in ref])
+    xi_t0 = c1 * np.exp(-grid[admissible])
+    _, _, causes = radial.integrate_lanes(grid[admissible], xi_t0, problem.T,
+                                          n, k, rtol=1e-7, atol=1e-9)
+    assert causes.tolist() == [traj.termination for _, traj in ref
+                               if traj is not None]
+    assert not admissible.all()
+    assert "ellipticity_breakdown" in causes
 
 
 # ----------------------------------------------------- synthetic residuals
 
 
 def _fake_residual_factory(fn):
-    """Stand-in for the integrate-and-compare residual map."""
+    """Stand-in for the integrate-and-compare residual map.
+
+    Like the real map it takes a scalar seed or the whole scan grid.
+    """
+    elementwise = np.vectorize(fn, otypes=[float])
 
     def factory(problem, rtol, atol, want_trajectory=False):
         if want_trajectory:
             return lambda s: (fn(s), None)
-        return fn
+        return elementwise
     return factory
 
 
@@ -367,20 +396,3 @@ def test_counterexample_sweep_bounded_gradient_unbounded_hessian(tmp_path):
     assert len(rows) == 1 + len(eps_values)
     assert float(rows[1][0]) == eps_values[0]
     assert rows[1][5] == "window_exit"
-
-
-# ------------------------------------------------------------ worker count
-
-
-def test_resolve_threads_precedence(monkeypatch):
-    monkeypatch.delenv("SYL_THREADS", raising=False)
-    assert shooting.resolve_threads(None) == 1
-    assert shooting.resolve_threads(4) == 4
-    assert shooting.resolve_threads(0) == 1
-    monkeypatch.setenv("SYL_THREADS", "6")
-    assert shooting.resolve_threads(None) == 6
-    assert shooting.resolve_threads(2) == 2
-    monkeypatch.setenv("SYL_THREADS", "not-a-number")
-    assert shooting.resolve_threads(None) == 1
-    monkeypatch.setenv("SYL_THREADS", "")
-    assert shooting.resolve_threads(None) == 1
