@@ -9,9 +9,11 @@ equation into the autonomous second-order ODE
 valid while |xi_t| < 1 (the elliptic branch; the equation degenerates at
 the endpoints when k >= 2).  This module provides the coordinate maps,
 the right-hand side with its guards, an adaptive integrator with event
-truncation, a lane-batched twin of it that advances many seeds at once,
-Robin boundary residuals in xi-form, and reconstruction of the annulus
-profile u(r) together with its Schouten eigenvalues.
+truncation and dense output, two twins of it that return only the state
+at the outer end (a lane-batched one that advances many seeds at once,
+and a scalar one in Python floats), Robin boundary residuals in xi-form,
+and reconstruction of the annulus profile u(r) together with its
+Schouten eigenvalues.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "ode_invariant",
     "integrate",
     "integrate_lanes",
+    "integrate_endpoint",
     "inner_bc_residual",
     "outer_bc_residual",
     "reconstruct",
@@ -51,8 +54,7 @@ ETA_GUARD = 1e-12
 
 # Why an integration stopped (``Trajectory.termination`` also allows
 # ``event:<index>`` for caller-supplied events).
-TERMINATIONS = ("reached_T", "ellipticity_breakdown", "cone_exit",
-                "step_failure")
+TERMINATIONS = ("reached_T", "ellipticity_breakdown", "step_failure")
 
 
 def theta_constant(n: int, k: int) -> float:
@@ -155,8 +157,7 @@ class Trajectory:
 
     Samples are available through :meth:`state`, :meth:`xi` and friends at
     any t in [0, t_end]; ``termination`` records why integration stopped:
-    ``reached_T``, ``ellipticity_breakdown``, ``cone_exit`` or
-    ``step_failure``.
+    ``reached_T``, ``ellipticity_breakdown`` or ``step_failure``.
     """
 
     def __init__(self, n, k, sol, termination, t_end):
@@ -216,10 +217,9 @@ def integrate(
     """Integrate the radial ODE from t = 0 until T_max or a terminal event.
 
     ``initial`` is a RadialState or an (xi, xi_t) pair at t = 0 and must be
-    admissible.  Built-in terminal events: ellipticity breakdown
-    (1 - xi_t^2 falls to the guard) and, for k >= 2, exit of the eigenvalue
-    vector from its cone.  ``extra_events`` are passed through to the
-    integrator (scipy event protocol) and, when terminal, produce
+    admissible.  The built-in terminal event is ellipticity breakdown
+    (1 - xi_t^2 falls to the guard).  ``extra_events`` are passed through
+    to the integrator (scipy event protocol) and, when terminal, produce
     termination cause ``event:<index>``.
 
     For k >= 2 the right-hand side has a pole on the degenerate set, so
@@ -255,31 +255,17 @@ def integrate(
 
     ellipticity.terminal = True
 
+    # There is no cone-exit event.  A trajectory spectrum is one radial
+    # eigenvalue plus an isotropic tangential block, for which sigma_l
+    # factors as
+    #   C(n-1, l-1) * lam_tan^(l-1) * [lam_rad + (n-l)/l * lam_tan]
+    # with lam_tan > 0 while 1 - xi_t^2 > 0.  Up to the factor e^{2 xi}
+    # the bracket is xi_tt + (n-2l)/(2l) * (1-xi_t^2), which the ODE makes
+    #   theta * e^{-2k xi} * (1-xi_t^2)^(1-k) + (n/2l - n/2k) * (1-xi_t^2),
+    # positive for every l <= k.  The spectrum stays in the cone as long
+    # as the guard holds, and an event on the bracket fires only when
+    # rounding cancels it.
     events = [ellipticity]
-    if k >= 2:
-        # sigma_k of the trajectory spectrum is identically one, so cone
-        # exit can only announce itself through a lower-order sigma_l.
-        # Trajectory spectra are one radial eigenvalue plus an isotropic
-        # tangential block, for which sigma_l factors as
-        #   C(n-1, l-1) * lam_tan^(l-1) * [lam_rad + (n-l)/l * lam_tan]
-        # with a positive prefactor (lam_tan has the sign of 1 - xi_t^2,
-        # kept positive by the guard).  Only the bracket can change sign,
-        # and evaluating it directly stays exact where sigma_l itself
-        # cancels catastrophically once the radial/tangential spread
-        # exceeds 1/eps.  The common factor e^{2 xi} is dropped the same
-        # way, which also keeps the event finite for runaway states.
-        def cone_exit(t, y):
-            v = y[1] if -1e150 < y[1] < 1e150 else 1e150
-            w = max(1.0 - v * v, 1e-30)
-            growth = math.exp(min(-2.0 * k * y[0], 700.0))
-            xtt = th * growth * w ** (1 - k) - beta * w
-            mu_rad = xtt - 0.5 * w
-            mu_tan = 0.5 * w
-            return min(mu_rad + (n - l) / l * mu_tan
-                       for l in range(1, k + 1))
-
-        cone_exit.terminal = True
-        events.append(cone_exit)
     events.extend(extra_events)
 
     sol = solve_ivp(rhs, (0.0, float(T_max)), y0, method="RK45",
@@ -296,10 +282,8 @@ def integrate(
         first = min(hit, key=lambda i: sol.t_events[i][0])
         if first == 0:
             termination = "ellipticity_breakdown"
-        elif k >= 2 and first == 1:
-            termination = "cone_exit"
         else:
-            termination = f"event:{first - (2 if k >= 2 else 1)}"
+            termination = f"event:{first - 1}"
         t_end = float(sol.t_events[first][0])
     else:
         termination = "reached_T"
@@ -324,7 +308,8 @@ def _certified_breakdown(xi0, xi_t0, xi_t_last, n, k):
 # coefficients, 5th-order weights, and error weights E = b5 - b4 over the
 # six stages plus the first-same-as-last seventh.  With the controller
 # constants below this is the method scipy's RK45 steps with, so the
-# lanes of integrate_lanes take the steps integrate takes.
+# lanes of integrate_lanes and integrate_endpoint take the steps
+# integrate takes.
 _DP_A = tuple(np.array(row) for row in (
     [1 / 5],
     [3 / 40, 9 / 40],
@@ -335,6 +320,9 @@ _DP_A = tuple(np.array(row) for row in (
 _DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
                   -22 / 525, 1 / 40])
+_DP_A_FLOAT = tuple(tuple(map(float, row)) for row in _DP_A)
+_DP_B_FLOAT = tuple(map(float, _DP_B))
+_DP_E_FLOAT = tuple(map(float, _DP_E))
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -350,21 +338,6 @@ def _lane_rhs(y, k, th, beta):
     w = np.maximum(1.0 - v * v, 1e-30)
     growth = np.exp(np.minimum(-2.0 * k * y[0], 700.0))
     return np.stack((y[1], th * growth * w ** (1 - k) - beta * w)), w
-
-
-def _lane_events(f, w, n, k):
-    """(events, m) values of the terminal events of :func:`integrate`.
-
-    Row 0 is the ellipticity guard, computed from the clamped w, which
-    gives it the sign of the unclamped guard: only signs are tested.  For
-    k >= 2 row 1 is the cone-exit bracket at l = k, the smallest of the
-    l = 1..k brackets ``integrate`` takes the minimum of, because
-    (n - l)/l falls as l grows.
-    """
-    rows = [w - ETA_GUARD]
-    if k >= 2:
-        rows.append(f[1] - 0.5 * w + (n - k) / k * (0.5 * w))
-    return np.stack(rows)
 
 
 def _rms(a):
@@ -392,6 +365,13 @@ def _initial_step(y, f, T, k, th, beta, rtol, atol):
     return np.where(T < h, T, h)
 
 
+def _check_endpoint_args(y0, T):
+    if not np.all(1.0 - y0[1] ** 2 > ETA_GUARD):
+        raise ValueError("initial state is not admissible")
+    if not 0.0 < T < math.inf:
+        raise ValueError("T must be positive and finite")
+
+
 def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
                     rtol: float = 1e-10, atol: float = 1e-12):
     """Integrate many seeds of the radial ODE from t = 0 to t = T at once.
@@ -401,24 +381,20 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
     tableau, starting step and RMS error norm; safety factor 0.9, step
     factors clamped to [0.2, 10] and no growth straight after a rejected
     trial; a nan error norm shrinks the step by 0.2; a step below ten
-    ulps of t fails.  After every accepted step the terminal events of
-    :func:`integrate` are tested by the sign of their values at the ends
-    of the step, which is how scipy detects them, so each lane stops
-    where ``integrate`` would.  Events are not located: a lane that
-    stops early reports nan for its state.  One that trips both events in
-    one step is reported as ``ellipticity_breakdown``.  Finished lanes
-    leave the working arrays, so the cost per step follows the live
-    lanes.
+    ulps of t fails.  After every accepted step the ellipticity guard of
+    :func:`integrate` is tested by the sign of its values at the ends of
+    the step, which is how scipy detects events, so each lane stops where
+    ``integrate`` would.  The guard is positive at the start of a step,
+    so the test reads only its end.  Events are not located: a lane that
+    stops early reports nan for its state.  Finished lanes leave the
+    working arrays, so the cost per step follows the live lanes.
 
     Returns (xi, xi_t, termination): the state at T and the cause, one of
     ``TERMINATIONS``, each shaped like the seeds.
     """
     shape = np.shape(xi0)
     y0 = np.array([np.ravel(xi0), np.ravel(xi_t0)], dtype=float)
-    if not np.all(1.0 - y0[1] ** 2 > ETA_GUARD):
-        raise ValueError("initial state is not admissible")
-    if not 0.0 < T < math.inf:
-        raise ValueError("T must be positive and finite")
+    _check_endpoint_args(y0, T)
     th = theta_constant(n, k)
     beta = (n - 2.0 * k) / (2.0 * k)
     m = y0.shape[1]
@@ -428,8 +404,7 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
     with np.errstate(all="ignore"):
         lane = np.arange(m)
         y = y0
-        f, w = _lane_rhs(y, k, th, beta)
-        g = _lane_events(f, w, n, k)
+        f, _ = _lane_rhs(y, k, th, beta)
         h = _initial_step(y, f, T, k, th, beta, rtol, atol)
         t = np.zeros(m)
         rejected = np.zeros(m, dtype=bool)
@@ -460,35 +435,128 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
             h = h * np.where(accept, grow, np.fmax(_MIN_FACTOR, power))
             rejected = ~accept
 
-            g_new = _lane_events(K[6], w, n, k)
-            fired = accept & (((g <= 0.0) & (g_new >= 0.0))
-                              | ((g >= 0.0) & (g_new <= 0.0)))
-            g = np.where(accept, g_new, g)
+            fired = accept & (w <= ETA_GUARD)
             y = np.where(accept, y_new, y)
             f = np.where(accept, K[6], f)
             t = np.where(accept, t_new, t)
 
-            stopped = fired.any(axis=0)
-            reached = accept & (t >= T) & ~stopped
+            reached = accept & (t >= T) & ~fired
             out[:, lane[reached]] = y[:, reached]
-            if k >= 2:
-                cause[lane[fired[1]]] = 2
-            cause[lane[fired[0]]] = 1
+            cause[lane[fired]] = 1
             if failed.any():
                 gone = lane[failed]
                 broke = _certified_breakdown(y0[0, gone], y0[1, gone],
                                              y[1, failed], n, k)
-                cause[gone] = np.where(broke, 1, 3)
+                cause[gone] = np.where(broke, 1, 2)
 
-            live = ~(reached | stopped | failed)
+            live = ~(reached | fired | failed)
             if not live.all():
-                lane, y, f, g, h, t, rejected = (
-                    lane[live], y[:, live], f[:, live], g[:, live], h[live],
-                    t[live], rejected[live])
+                lane, y, f, h, t, rejected = (
+                    lane[live], y[:, live], f[:, live], h[live], t[live],
+                    rejected[live])
                 K = np.empty((7, 2, lane.size))
 
     termination = np.asarray(TERMINATIONS)[cause].reshape(shape)
     return out[0].reshape(shape), out[1].reshape(shape), termination
+
+
+def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
+                       *, rtol: float = 1e-10, atol: float = 1e-12):
+    """One lane of :func:`integrate_lanes`, stepped in Python floats.
+
+    For a single seed, numpy's per-operation cost outweighs the step
+    itself, so root refinement, which asks for one seed at a time, takes
+    its steps here.  The contract is that of a lane: the same tableau,
+    controller, starting step (from ``_initial_step`` on a one-lane
+    array), nan-norm shrink, ten-ulp step failure and ellipticity test on
+    accepted steps, and nan for the state when the seed stops early.  The
+    two agree to rounding.
+
+    Returns (xi, xi_t, termination): floats and one of ``TERMINATIONS``.
+    """
+    y0 = np.array([[xi0], [xi_t0]], dtype=float)
+    _check_endpoint_args(y0, T)
+    th = theta_constant(n, k)
+    beta = (n - 2.0 * k) / (2.0 * k)
+    c, p = -2.0 * k, 1 - k
+    exp = math.exp
+
+    def accel(x, v):
+        # Row 1 of _lane_rhs for one state.
+        if not -1e150 < v < 1e150:
+            v = 1e150
+        w = 1.0 - v * v
+        if w < 1e-30:
+            w = 1e-30
+        e = c * x
+        if e > 700.0:
+            e = 700.0
+        try:
+            pole = w ** p
+        except OverflowError:  # k >= 12 near the degenerate set
+            pole = math.inf  # numpy's value, which the lanes use
+        return th * exp(e) * pole - beta * w
+
+    with np.errstate(all="ignore"):
+        f, _ = _lane_rhs(y0, k, th, beta)
+        h = float(_initial_step(y0, f, T, k, th, beta, rtol, atol)[0])
+    x, v, a = float(y0[0, 0]), float(y0[1, 0]), float(f[1, 0])
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _DP_A_FLOAT
+    b1, _, b3, b4, b5, b6 = _DP_B_FLOAT
+    e1, _, e3, e4, e5, e6, e7 = _DP_E_FLOAT
+    t = 0.0
+    rejected = False
+    while True:
+        min_step = 10.0 * math.ulp(t)
+        if not rejected and h < min_step:
+            h = min_step
+        if not h >= min_step:
+            if _certified_breakdown(y0[0, 0], y0[1, 0], v, n, k):
+                return math.nan, math.nan, "ellipticity_breakdown"
+            return math.nan, math.nan, "step_failure"
+        t_new = min(t + h, T)
+        h = t_new - t
+
+        # Stage states, each the state plus h times a weighted sum of the
+        # stage derivatives (v_s, a_s) before it.
+        v2 = v + a21 * a * h
+        a2 = accel(x + a21 * v * h, v2)
+        v3 = v + (a31 * a + a32 * a2) * h
+        a3 = accel(x + (a31 * v + a32 * v2) * h, v3)
+        v4 = v + (a41 * a + a42 * a2 + a43 * a3) * h
+        a4 = accel(x + (a41 * v + a42 * v2 + a43 * v3) * h, v4)
+        v5 = v + (a51 * a + a52 * a2 + a53 * a3 + a54 * a4) * h
+        a5 = accel(x + (a51 * v + a52 * v2 + a53 * v3 + a54 * v4) * h, v5)
+        v6 = v + (a61 * a + a62 * a2 + a63 * a3 + a64 * a4 + a65 * a5) * h
+        a6 = accel(x + (a61 * v + a62 * v2 + a63 * v3 + a64 * v4
+                        + a65 * v5) * h, v6)
+        x_new = x + h * (b1 * v + b3 * v3 + b4 * v4 + b5 * v5 + b6 * v6)
+        v_new = v + h * (b1 * a + b3 * a3 + b4 * a4 + b5 * a5 + b6 * a6)
+        a_new = accel(x_new, v_new)
+        # A nan end state makes a_new or v_new nan, so the norm is nan
+        # even though Python's max drops a nan that np.maximum keeps.
+        ex = ((e1 * v + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * v_new)
+              * h / (atol + max(abs(x), abs(x_new)) * rtol))
+        ev = ((e1 * a + e3 * a3 + e4 * a4 + e5 * a5 + e6 * a6 + e7 * a_new)
+              * h / (atol + max(abs(v), abs(v_new)) * rtol))
+        err = math.sqrt(ex * ex + ev * ev) / 2 ** 0.5
+
+        if not err < 1.0:
+            h *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            rejected = True
+            continue
+        grow = (_MAX_FACTOR if err == 0.0
+                else min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
+        h *= min(1.0, grow) if rejected else grow
+        rejected = False
+        t, x, v, a = t_new, x_new, v_new, a_new
+        # An accepted v is finite, so the clamps of _lane_rhs cannot
+        # change the sign of the guard.
+        if 1.0 - v * v <= ETA_GUARD:
+            return math.nan, math.nan, "ellipticity_breakdown"
+        if t >= T:
+            return x, v, "reached_T"
 
 
 def inner_bc_residual(state: RadialState, c1: float) -> float:
@@ -557,11 +625,9 @@ def reconstruct(traj: Trajectory, num: int = 200) -> RadialProfile:
     du = -m * (xi_t + 1.0) * u / r
     d2u = m * u / r ** 2 * (-xi_tt + m * (xi_t + 1.0) ** 2 + (xi_t + 1.0))
     lam_rad, lam_tan = schouten.radial_eigenvalues(xi, xi_t, xi_tt, n)
-    res = np.empty(ts.size)
-    for i in range(ts.size):
-        lam = np.full(n, lam_tan[i])
-        lam[0] = lam_rad[i]
-        res[i] = symfn.sigma_k(lam, k) - 1.0
+    spectra = np.repeat(lam_tan[:, None], n, axis=1)
+    spectra[:, 0] = lam_rad
+    res = symfn.sigma_k(spectra, k) - 1.0
     return RadialProfile(n=n, k=k, t=ts, xi=xi, xi_t=xi_t, xi_tt=xi_tt,
                          r=r, u=u, du=du, d2u=d2u,
                          lam_rad=lam_rad, lam_tan=lam_tan,

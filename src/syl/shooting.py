@@ -31,6 +31,7 @@ from .radial import (
     AnnulusProblem,
     RadialState,
     integrate,
+    integrate_endpoint,
     integrate_lanes,
     ode_rhs,
     outer_bc_residual,
@@ -183,11 +184,13 @@ def _make_residual(problem: AnnulusProblem, rtol: float, atol: float,
 
     A 1-D array of seeds is integrated at once, as lanes of
     :func:`integrate_lanes`, and gives the array of residuals.  A scalar
-    seed runs :func:`integrate`, whose dense trajectory the refinement,
-    polish and solution stages need; ``want_trajectory`` then also
-    returns that trajectory.  Both end every seed the same way.
+    seed runs one such lane in Python floats, :func:`integrate_endpoint`,
+    which is what brentq refinement and polish evaluate.  With
+    ``want_trajectory`` a scalar seed instead runs :func:`integrate` and
+    also returns its dense trajectory, for the solutions returned.  All
+    three end every seed the same way.
     """
-    T = problem.T
+    n, k, T = problem.n, problem.k, problem.T
 
     def lanes(seeds: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -195,26 +198,35 @@ def _make_residual(problem: AnnulusProblem, rtol: float, atol: float,
         ok = np.abs(xi_t0) <= 1.0 - SEED_MARGIN
         out = np.full(seeds.shape, math.nan)
         if ok.any():
-            xi, xi_t, _ = integrate_lanes(seeds[ok], xi_t0[ok], T,
-                                          problem.n, problem.k,
+            xi, xi_t, _ = integrate_lanes(seeds[ok], xi_t0[ok], T, n, k,
                                           rtol=rtol, atol=atol)
             out[ok] = xi_t + problem.c2 * np.exp(-xi) / problem.R
         return out
 
+    def endpoint(s):
+        seed = _seed_state(s, problem.c1)
+        if seed is None:
+            return math.nan
+        xi, xi_t, _ = integrate_endpoint(seed.xi, seed.xi_t, T, n, k,
+                                         rtol=rtol, atol=atol)
+        return xi_t + problem.c2 * math.exp(-xi) / problem.R
+
+    def trajectory(s):
+        seed = _seed_state(s, problem.c1)
+        if seed is None:
+            return math.nan, None
+        traj = integrate(seed, T, n, k, rtol=rtol, atol=atol)
+        if traj.termination != "reached_T":
+            return math.nan, traj
+        return outer_bc_residual(traj.final_state, problem.c2,
+                                 problem.R), traj
+
     def fn(s):
         if np.ndim(s):
             return lanes(np.asarray(s, dtype=float))
-        seed = _seed_state(s, problem.c1)
-        if seed is None:
-            return (math.nan, None) if want_trajectory else math.nan
-        traj = integrate(seed, T, problem.n, problem.k,
-                         rtol=rtol, atol=atol)
-        if traj.termination != "reached_T":
-            return (math.nan, traj) if want_trajectory else math.nan
-        res = outer_bc_residual(traj.final_state, problem.c2, problem.R)
-        return (res, traj) if want_trajectory else res
+        return endpoint(s)
 
-    return fn
+    return trajectory if want_trajectory else fn
 
 
 def _nan_runs(values: np.ndarray):
@@ -257,8 +269,8 @@ def solve_annulus(
     tolerance until the outer residual is below ``residual_bound``.
     Nearby roots (within ``merge_tol``) are merged.
 
-    Unevaluable seeds -- ellipticity breakdown before the outer boundary,
-    cone exit, or an inadmissible seed velocity -- appear as nan entries
+    Unevaluable seeds -- ellipticity breakdown or step failure before the
+    outer boundary, or an inadmissible seed velocity -- appear as nan entries
     in the scan.  Runs of nans at the scan edges are only truncation;
     a run strictly inside the scan longer than ``gap_limit`` cells makes
     an empty result ``inconclusive`` rather than ``empty``, because a

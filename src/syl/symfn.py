@@ -42,33 +42,35 @@ def _as_vector(lam) -> np.ndarray:
     return lam
 
 
-def sigma_k(lam, k: int) -> float:
+def sigma_k(lam, k: int):
     """k-th elementary symmetric polynomial of the entries of ``lam``.
 
     Computed through the Newton recurrence on power sums, which is
     well-conditioned for the small dimensions (n <= 16) this package
-    targets.  ``sigma_k(lam, 0) == 1`` by convention.
+    targets.  ``sigma_k(lam, 0) == 1`` by convention.  A 2-D ``lam``
+    gives the array of sigma_k of its rows, each rounded exactly as that
+    row alone would be.
     """
-    lam = _as_vector(lam)
-    n = lam.size
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim not in (1, 2) or lam.shape[-1] < 1:
+        raise ValueError("eigenvalues must be a non-empty vector or rows "
+                         "of vectors")
+    n = lam.shape[-1]
     if not 0 <= k <= n:
         raise ValueError(f"order k={k} out of range for n={n}")
-    if k == 0:
-        return 1.0
     # Newton's identities: m*e_m = sum_{j=1..m} (-1)^(j-1) e_(m-j) p_j
     powers = lam.copy()
-    p = np.empty(k)
-    for j in range(k):
-        p[j] = powers.sum()
+    p = []
+    for _ in range(k):
+        p.append(powers.sum(axis=-1))
         powers *= lam
-    e = np.empty(k + 1)
-    e[0] = 1.0
+    e = [1.0 if lam.ndim == 1 else np.ones(len(lam))]
     for m in range(1, k + 1):
         acc = 0.0
         for j in range(1, m + 1):
             acc += (1.0 if j % 2 else -1.0) * e[m - j] * p[j - 1]
-        e[m] = acc / m
-    return float(e[k])
+        e.append(acc / m)
+    return float(e[k]) if lam.ndim == 1 else e[k]
 
 
 def sigma_k_bruteforce(lam, k: int) -> float:

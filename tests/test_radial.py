@@ -209,3 +209,54 @@ def test_solution_trajectories_stay_in_cone():
         for lr, lt in zip(prof.lam_rad, prof.lam_tan):
             lam = np.array([lr] + [lt] * 4)
             assert symfn.in_gamma_k(lam, 2)
+
+
+@pytest.mark.parametrize("n,k,seed,T", [(5, 1, (0.2, 0.3), 1.5),
+                                        (5, 2, (0.4, -0.2), 1.0),
+                                        (7, 3, (0.1, 0.5), 1.2),
+                                        (8, 4, (0.0, -0.6), 0.8)])
+def test_reconstruct_sigma_k_residual_column(n, k, seed, T):
+    prof = radial.reconstruct(radial.integrate(seed, T, n, k), 64)
+    lr, lt = prof.lam_rad, prof.lam_tan
+    newton = [symfn.sigma_k(np.array([a] + [b] * (n - 1)), k) - 1.0
+              for a, b in zip(lr, lt)]
+    assert prof.sigma_k_residual.tolist() == newton
+    # One radial and n - 1 equal tangential eigenvalues factor sigma_k.
+    factored = (math.comb(n - 1, k - 1) * lt ** (k - 1)
+                * (lr + (n - k) / k * lt) - 1.0)
+    spread = (np.abs(lr) + (n - 1) * np.abs(lt)) ** k
+    assert np.all(np.abs(prof.sigma_k_residual - factored) <= 1e-12 * spread)
+
+
+@pytest.mark.parametrize("s", [5.93, 6.0])
+@pytest.mark.parametrize("rtol,atol", [(1e-7, 1e-9), (1e-10, 1e-12)])
+def test_cone_bracket_rounding_does_not_stop_trajectories(s, rtol, atol):
+    """Where theta e^{-2k xi} is ~1e-16 of 1 - xi_t^2, the l = k cone
+    bracket cancels to rounding; these seeds used to stop as cone exits,
+    s = 6.0 at t = 0."""
+    seed, T = (s, 1.5 * math.exp(-s)), math.log(6.0)
+    traj = radial.integrate(seed, T, 7, 3, rtol=rtol, atol=atol)
+    assert traj.termination == "reached_T"
+    xi, xi_t, cause = radial.integrate_endpoint(*seed, T, 7, 3,
+                                                rtol=rtol, atol=atol)
+    assert cause == "reached_T"
+    residual = radial.outer_bc_residual(radial.RadialState(T, xi, xi_t),
+                                        0.0, 6.0)
+    assert math.isfinite(residual)
+    assert residual == pytest.approx(traj.final_state.xi_t, abs=1e-6)
+
+
+def test_integrate_no_longer_locates_a_rounding_cone_exit():
+    # scipy's event location used to raise "f(a) and f(b) must have
+    # different signs" on the cancelling cone bracket here.
+    traj = radial.integrate((3.24, 0.199), 1.49, 7, 6, rtol=1e-7, atol=1e-9)
+    assert traj.termination == "reached_T"
+
+
+def test_integrate_endpoint_input_validation():
+    with pytest.raises(ValueError):
+        radial.integrate_endpoint(0.0, 1.0, 1.0, 5, 2)  # inadmissible seed
+    with pytest.raises(ValueError):
+        radial.integrate_endpoint(0.0, 0.0, -1.0, 5, 2)
+    with pytest.raises(ValueError):
+        radial.integrate_endpoint(0.0, 0.0, math.inf, 5, 2)

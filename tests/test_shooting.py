@@ -162,6 +162,56 @@ def test_lane_scan_agrees_with_per_seed_integration(n, k, R, c1, c2):
     assert "ellipticity_breakdown" in causes
 
 
+@pytest.mark.parametrize("n,k,R,c1,c2,rtol,atol", [
+    (4, 1, 5.0, -0.5, 0.3, 1e-7, 1e-9),
+    (5, 2, 5.0, -0.5, 0.0, 1e-7, 1e-9),
+    (7, 3, 6.0, 0.5, -0.2, 1e-7, 1e-9),
+    (7, 3, 6.0, 0.5, -0.2, 1e-10, 1e-12),  # the polish tolerance
+])
+def test_float_stepper_agrees_with_lanes(n, k, R, c1, c2, rtol, atol):
+    problem = AnnulusProblem(n, k, R, c1, c2)
+    grid = shooting.ScanSpec(-5.0, 5.0, 121).grid
+    residual = shooting._make_residual(problem, rtol, atol)
+    lanes = residual(grid)
+    floats = np.array([residual(float(s)) for s in grid])
+    assert np.array_equal(np.isnan(lanes), np.isnan(floats))
+    finite = ~np.isnan(lanes)
+    assert np.max(np.abs(lanes[finite] - floats[finite])) <= 1e-12
+
+    # Seed by seed, the same cause and the same state.
+    xi_t0 = c1 * np.exp(-grid)
+    admissible = np.abs(xi_t0) <= 1.0 - shooting.SEED_MARGIN
+    seeds = grid[admissible], xi_t0[admissible]
+    xi, xi_t, causes = radial.integrate_lanes(*seeds, problem.T, n, k,
+                                              rtol=rtol, atol=atol)
+    stepped = [radial.integrate_endpoint(float(s), float(v), problem.T,
+                                         n, k, rtol=rtol, atol=atol)
+               for s, v in zip(*seeds)]
+    assert [cause for _, _, cause in stepped] == causes.tolist()
+    state = np.array([(a, b) for a, b, _ in stepped]).T
+    lane_state = np.array([xi, xi_t])
+    assert np.array_equal(np.isnan(state), np.isnan(lane_state))
+    reached = causes == "reached_T"
+    assert np.max(np.abs(state[:, reached] - lane_state[:, reached])) <= 1e-12
+    assert not admissible.all()
+    assert "ellipticity_breakdown" in causes
+
+
+@pytest.mark.parametrize("seed,T,n,k", [((0.0, 0.999999), 1.0, 25, 12),
+                                        ((0.0, -0.9999), 2.0, 30, 14),
+                                        ((-1.0, 0.99), 2.0, 26, 12)])
+def test_float_stepper_ends_like_a_lane_where_the_pole_overflows(seed, T, n,
+                                                                  k):
+    # For k >= 12, (1 - xi_t^2)^(1-k) overflows a float near the
+    # degenerate set: numpy gives inf, Python's ** raises.
+    _, _, (cause,) = radial.integrate_lanes(*([v] for v in seed), T, n, k,
+                                            rtol=1e-7, atol=1e-9)
+    xi, xi_t, stepped = radial.integrate_endpoint(*seed, T, n, k,
+                                                  rtol=1e-7, atol=1e-9)
+    assert stepped == cause != "reached_T"
+    assert math.isnan(xi) and math.isnan(xi_t)
+
+
 # ----------------------------------------------------- synthetic residuals
 
 

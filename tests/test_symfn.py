@@ -17,6 +17,16 @@ def test_sigma_k_matches_bruteforce(n, k):
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("n,k", [(3, 0), (3, 1), (5, 2), (8, 5), (12, 7)])
+def test_sigma_k_of_rows_rounds_as_each_row_alone(n, k):
+    rows = np.random.default_rng(n * 10 + k).normal(0.0, 2.0, size=(30, n))
+    batched = symfn.sigma_k(rows, k)
+    assert batched.shape == (30,)
+    assert batched.tolist() == [symfn.sigma_k(row, k) for row in rows]
+    with pytest.raises(ValueError):
+        symfn.sigma_k(rows[None], k)
+
+
 def test_sigma_k_edge_orders():
     lam = np.array([1.0, 2.0, 3.0])
     assert symfn.sigma_k(lam, 0) == 1.0
