@@ -237,17 +237,10 @@ def integrate(
         raise ValueError("initial state is not admissible")
     if not T_max > 0.0:
         raise ValueError("T_max must be positive")
-    th = theta_constant(n, k)
-    beta = (n - 2.0 * k) / (2.0 * k)
+    accel = _clamped_accel(n, k)
 
     def rhs(t, y):
-        # Trial steps may overshoot the degenerate set or fling the state
-        # far out; clamping the inputs keeps the evaluation finite so the
-        # error estimator rejects the step instead of raising or warning.
-        v = y[1] if -1e150 < y[1] < 1e150 else 1e150
-        w = max(1.0 - v * v, 1e-30)
-        growth = math.exp(min(-2.0 * k * y[0], 700.0))
-        return (y[1], th * growth * w ** (1 - k) - beta * w)
+        return (y[1], accel(y[0], y[1]))
 
     def ellipticity(t, y):
         v = y[1] if -1e150 < y[1] < 1e150 else 1e150
@@ -268,8 +261,12 @@ def integrate(
     events = [ellipticity]
     events.extend(extra_events)
 
-    sol = solve_ivp(rhs, (0.0, float(T_max)), y0, method="RK45",
-                    rtol=rtol, atol=atol, dense_output=True, events=events)
+    # Rejected trial steps may still reach inf or nan inside scipy's
+    # stage sums; the controller rejects them, as it does for the lanes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, (0.0, float(T_max)), y0, method="RK45",
+                        rtol=rtol, atol=atol, dense_output=True,
+                        events=events)
 
     if sol.status == -1:
         if _certified_breakdown(y0[0], y0[1], float(sol.y[1, -1]), n, k):
@@ -289,6 +286,39 @@ def integrate(
         termination = "reached_T"
         t_end = float(T_max)
     return Trajectory(n, k, sol, termination, t_end)
+
+
+def _clamped_accel(n, k):
+    """xi_tt of the radial ODE for one state, clamped to stay finite.
+
+    Trial steps may overshoot the degenerate set or fling the state far
+    out; clamping the inputs keeps the evaluation finite, so the error
+    estimator rejects the step instead of raising or warning.  Where
+    (1 - xi_t^2)^(1-k) overflows a float (k >= 12 near the degenerate
+    set) it is taken as inf, the value numpy gives the lanes.  The
+    scalar twin of the second row of :func:`_lane_rhs`.
+    """
+    th = theta_constant(n, k)
+    beta = (n - 2.0 * k) / (2.0 * k)
+    c, p = -2.0 * k, 1 - k
+    exp = math.exp
+
+    def accel(x, v):
+        if not -1e150 < v < 1e150:
+            v = 1e150
+        w = 1.0 - v * v
+        if w < 1e-30:
+            w = 1e-30
+        e = c * x
+        if e > 700.0:
+            e = 700.0
+        try:
+            pole = w ** p
+        except OverflowError:
+            pole = math.inf
+        return th * exp(e) * pole - beta * w
+
+    return accel
 
 
 def _certified_breakdown(xi0, xi_t0, xi_t_last, n, k):
@@ -478,24 +508,7 @@ def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
     _check_endpoint_args(y0, T)
     th = theta_constant(n, k)
     beta = (n - 2.0 * k) / (2.0 * k)
-    c, p = -2.0 * k, 1 - k
-    exp = math.exp
-
-    def accel(x, v):
-        # Row 1 of _lane_rhs for one state.
-        if not -1e150 < v < 1e150:
-            v = 1e150
-        w = 1.0 - v * v
-        if w < 1e-30:
-            w = 1e-30
-        e = c * x
-        if e > 700.0:
-            e = 700.0
-        try:
-            pole = w ** p
-        except OverflowError:  # k >= 12 near the degenerate set
-            pole = math.inf  # numpy's value, which the lanes use
-        return th * exp(e) * pole - beta * w
+    accel = _clamped_accel(n, k)
 
     with np.errstate(all="ignore"):
         f, _ = _lane_rhs(y0, k, th, beta)

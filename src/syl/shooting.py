@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -34,7 +35,6 @@ from .radial import (
     integrate_endpoint,
     integrate_lanes,
     ode_rhs,
-    outer_bc_residual,
     theta_constant,
     u_from_xi,
 )
@@ -128,16 +128,28 @@ def default_scan(n: int, k: int, *, half_width: float = 5.0,
 
 @dataclass(frozen=True)
 class AnnulusSolution:
-    """One shooting solution: inner data, outer residual, trajectory."""
+    """One shooting solution: inner data, outer residual, trajectory.
+
+    The root was refined at integrator tolerance (rtol, atol); its dense
+    trajectory is integrated at that tolerance when first read.
+    """
 
     xi0: float
     xi_t0: float
     residual: float
-    trajectory: object
+    problem: AnnulusProblem
+    rtol: float
+    atol: float
+
+    @cached_property
+    def trajectory(self):
+        p = self.problem
+        return integrate((self.xi0, self.xi_t0), p.T, p.n, p.k,
+                         rtol=self.rtol, atol=self.atol)
 
     @property
     def inner_u(self) -> float:
-        return float(u_from_xi(self.xi0, 0.0, self.trajectory.n))
+        return float(u_from_xi(self.xi0, 0.0, self.problem.n))
 
 
 @dataclass
@@ -178,17 +190,14 @@ def _seed_state(s: float, c1: float) -> RadialState | None:
     return RadialState(0.0, float(s), xi_t0)
 
 
-def _make_residual(problem: AnnulusProblem, rtol: float, atol: float,
-                   want_trajectory: bool = False):
+def _make_residual(problem: AnnulusProblem, rtol: float, atol: float):
     """Outer-residual-of-inner-value map; nan marks unevaluable seeds.
 
     A 1-D array of seeds is integrated at once, as lanes of
     :func:`integrate_lanes`, and gives the array of residuals.  A scalar
     seed runs one such lane in Python floats, :func:`integrate_endpoint`,
-    which is what brentq refinement and polish evaluate.  With
-    ``want_trajectory`` a scalar seed instead runs :func:`integrate` and
-    also returns its dense trajectory, for the solutions returned.  All
-    three end every seed the same way.
+    which is what brentq refinement evaluates.  Both end every seed the
+    same way.
     """
     n, k, T = problem.n, problem.k, problem.T
 
@@ -211,22 +220,12 @@ def _make_residual(problem: AnnulusProblem, rtol: float, atol: float,
                                          rtol=rtol, atol=atol)
         return xi_t + problem.c2 * math.exp(-xi) / problem.R
 
-    def trajectory(s):
-        seed = _seed_state(s, problem.c1)
-        if seed is None:
-            return math.nan, None
-        traj = integrate(seed, T, n, k, rtol=rtol, atol=atol)
-        if traj.termination != "reached_T":
-            return math.nan, traj
-        return outer_bc_residual(traj.final_state, problem.c2,
-                                 problem.R), traj
-
     def fn(s):
         if np.ndim(s):
             return lanes(np.asarray(s, dtype=float))
         return endpoint(s)
 
-    return trajectory if want_trajectory else fn
+    return fn
 
 
 def _nan_runs(values: np.ndarray):
@@ -264,10 +263,12 @@ def solve_annulus(
 
     Stage one evaluates the outer residual on the scan grid at relaxed
     integrator tolerance, every seed at once as integrator lanes, and
-    brackets its sign changes; stage two refines each bracket with brentq
-    and, when ``polish`` is set, re-brackets and re-solves at tight
-    tolerance until the outer residual is below ``residual_bound``.
-    Nearby roots (within ``merge_tol``) are merged.
+    brackets its sign changes.  Stage two refines each bracket once with
+    brentq: when ``polish`` is set, at tight tolerance (rtol, atol) and
+    keeping only roots whose outer residual there is below
+    ``residual_bound``; otherwise at the scan tolerance.  Nearby roots
+    (within ``merge_tol``) are merged.  Each solution integrates its
+    dense trajectory, at the tolerance it was refined at, when read.
 
     Unevaluable seeds -- ellipticity breakdown or step failure before the
     outer boundary, or an inadmissible seed velocity -- appear as nan entries
@@ -300,74 +301,30 @@ def solve_annulus(
         right = np.append(right, grid.size - 1)
     diag.brackets = list(zip(grid[left], grid[right]))
 
-    def guarded(fn):
-        def wrapped(s):
-            v = fn(s)
-            if math.isnan(v):
-                raise _Gap(s)
-            return v
-        return wrapped
+    # Each bracket is refined once, on the map at the solution tolerance.
+    tol = (rtol, atol) if polish else (scan_rtol, scan_atol)
+    fine = _make_residual(problem, *tol) if polish else coarse
+    xtol = 1e-13 if polish else 1e-10
 
-    tight = _make_residual(problem, rtol, atol)
-    tight_full = _make_residual(problem, rtol, atol, want_trajectory=True)
-    coarse_full = _make_residual(problem, scan_rtol, scan_atol,
-                                 want_trajectory=True)
+    def guarded(s):
+        v = fine(s)
+        if math.isnan(v):
+            raise _Gap(s)
+        return v
 
     found = []
     for (a, b) in diag.brackets:
-        if a == b:
-            root = a
-        else:
-            try:
-                root = brentq(guarded(coarse), a, b, xtol=1e-10)
-            except (_Gap, ValueError) as exc:
-                diag.rejected.append(("coarse_refine_failed", a, b, repr(exc)))
-                continue
-        if not polish:
-            res, traj = coarse_full(root)
-            if math.isnan(res):
-                diag.rejected.append(("coarse_root_unevaluable", root))
-                continue
-            found.append(AnnulusSolution(float(root),
-                                         problem.c1 * math.exp(-root),
-                                         float(res), traj))
-            continue
-
-        # Re-bracket around the coarse root at tight tolerance, then solve.
-        h = max(scan.spacing * 0.05, 1e-9)
-        lo_lim = min(a, b) if a != b else root - scan.spacing
-        hi_lim = max(a, b) if a != b else root + scan.spacing
-        refined = None
         try:
-            for _ in range(9):
-                p, q = max(root - h, lo_lim), min(root + h, hi_lim)
-                fp, fq = tight(p), tight(q)
-                if math.isnan(fp) or math.isnan(fq):
-                    raise _Gap(root)
-                if fp == 0.0:
-                    refined = p
-                    break
-                if fq == 0.0:
-                    refined = q
-                    break
-                if fp * fq < 0.0:
-                    refined = brentq(guarded(tight), p, q, xtol=1e-13)
-                    break
-                if p == lo_lim and q == hi_lim:
-                    break
-                h *= 4.0
+            root = a if a == b else brentq(guarded, a, b, xtol=xtol)
         except (_Gap, ValueError) as exc:
-            diag.rejected.append(("tight_refine_failed", root, repr(exc)))
+            diag.rejected.append(("refine_failed", a, b, repr(exc)))
             continue
-        if refined is None:
-            refined = root  # residual check below decides its fate
-        res, traj = tight_full(refined)
-        if math.isnan(res) or abs(res) > residual_bound:
-            diag.rejected.append(("residual_bound", refined, res))
+        res = fine(root)
+        if math.isnan(res) or (polish and abs(res) > residual_bound):
+            diag.rejected.append(("residual_bound", root, res))
             continue
-        found.append(AnnulusSolution(float(refined),
-                                     problem.c1 * math.exp(-refined),
-                                     float(res), traj))
+        found.append(AnnulusSolution(float(root), problem.c1 * math.exp(-root),
+                                     float(res), problem, *tol))
 
     # Merge near-duplicates, keeping the better residual.
     found.sort(key=lambda sol: sol.xi0)

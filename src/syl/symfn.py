@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import fd
+
 __all__ = [
     "sigma_k",
     "sigma_k_bruteforce",
@@ -183,17 +185,6 @@ def symmetrize_average(h: Callable, n: int, limit: int = 8) -> Callable:
     return h_sym
 
 
-def _fd_gradient(fun, x, step=1e-7):
-    x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
-    for i in range(x.size):
-        h = step * max(1.0, abs(x[i]))
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (fun(x + e) - fun(x - e)) / (2.0 * h)
-    return g
-
-
 def build_concave_f(
     h: Callable[[np.ndarray], float],
     alpha: float = 0.5,
@@ -233,7 +224,8 @@ def build_concave_f(
         raise ValueError("defining function must be positive at the cone center")
     delta = n * h_center ** (1.0 / alpha)
 
-    gh = grad_h if grad_h is not None else (lambda lam: _fd_gradient(h, lam))
+    gh = grad_h if grad_h is not None else (
+        lambda lam: fd.gradient(h, lam, 1e-7))
 
     def value(lam):
         lam = np.asarray(lam, dtype=float)

@@ -260,3 +260,31 @@ def test_integrate_endpoint_input_validation():
         radial.integrate_endpoint(0.0, 0.0, -1.0, 5, 2)
     with pytest.raises(ValueError):
         radial.integrate_endpoint(0.0, 0.0, math.inf, 5, 2)
+
+
+@pytest.mark.parametrize("seed,T,n,k,want", [
+    ((0.0, 0.999999), 1.0, 25, 12, "ellipticity_breakdown"),
+    ((0.0, -0.9999), 2.0, 30, 14, "step_failure"),
+    ((-1.0, 0.99), 2.0, 26, 12, "step_failure"),
+])
+def test_integrate_ends_like_a_lane_where_the_pole_overflows(seed, T, n, k,
+                                                             want):
+    # For k >= 12, (1 - xi_t^2)^(1-k) overflows a float near the
+    # degenerate set; this used to raise OverflowError out of integrate.
+    traj = radial.integrate(seed, T, n, k)
+    _, _, (cause,) = radial.integrate_lanes(*([v] for v in seed), T, n, k)
+    assert traj.termination == cause == want
+
+
+def test_integrate_does_not_warn_on_rejected_trial_steps():
+    # Trial steps from these seeds reach the clamped pole, and scipy's
+    # stage sums used to warn "invalid value encountered in dot"; the
+    # suite turns any RuntimeWarning into an error.
+    seeds = np.linspace(-1.0, 1.0, 15)
+    T = math.log(6.0)
+    causes = [radial.integrate((s, 0.0), T, 7, 2, rtol=1e-7,
+                               atol=1e-9).termination for s in seeds]
+    _, _, lanes = radial.integrate_lanes(seeds, np.zeros(15), T, 7, 2,
+                                         rtol=1e-7, atol=1e-9)
+    assert causes == lanes.tolist()
+    assert "ellipticity_breakdown" in causes and "reached_T" in causes

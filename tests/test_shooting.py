@@ -140,11 +140,14 @@ def test_lane_scan_agrees_with_per_seed_integration(n, k, R, c1, c2):
     problem = AnnulusProblem(n, k, R, c1, c2)
     grid = shooting.ScanSpec(-5.0, 5.0, 121).grid
     lanes = shooting._make_residual(problem, 1e-7, 1e-9)(grid)
-    per_seed = shooting._make_residual(problem, 1e-7, 1e-9,
-                                       want_trajectory=True)
-    with np.errstate(all="ignore"):  # scipy's rejected trial steps overflow
-        ref = [per_seed(float(s)) for s in grid]
-    ref_res = np.array([res for res, _ in ref])
+    seeds = [shooting._seed_state(float(s), c1) for s in grid]
+    ref = [(None if seed is None else
+            radial.integrate(seed, problem.T, n, k, rtol=1e-7, atol=1e-9))
+           for seed in seeds]
+    ref_res = np.array([
+        radial.outer_bc_residual(traj.final_state, c2, R)
+        if traj is not None and traj.termination == "reached_T" else math.nan
+        for traj in ref])
     assert np.array_equal(np.isnan(lanes), np.isnan(ref_res))
     finite = ~np.isnan(ref_res)
     assert np.max(np.abs(lanes[finite] - ref_res[finite])) <= 1e-9
@@ -152,11 +155,11 @@ def test_lane_scan_agrees_with_per_seed_integration(n, k, R, c1, c2):
     # Every lane ends as its per-seed trajectory does, and the grid holds
     # both kinds of unevaluable seed: inadmissible for the inner Robin
     # constant, and breaking down before the outer boundary.
-    admissible = np.array([traj is not None for _, traj in ref])
+    admissible = np.array([traj is not None for traj in ref])
     xi_t0 = c1 * np.exp(-grid[admissible])
     _, _, causes = radial.integrate_lanes(grid[admissible], xi_t0, problem.T,
                                           n, k, rtol=1e-7, atol=1e-9)
-    assert causes.tolist() == [traj.termination for _, traj in ref
+    assert causes.tolist() == [traj.termination for traj in ref
                                if traj is not None]
     assert not admissible.all()
     assert "ellipticity_breakdown" in causes
@@ -212,6 +215,34 @@ def test_float_stepper_ends_like_a_lane_where_the_pole_overflows(seed, T, n,
     assert math.isnan(xi) and math.isnan(xi_t)
 
 
+@pytest.mark.parametrize("polish", [False, True])
+def test_solution_trajectories_are_integrated_once_when_read(monkeypatch,
+                                                             polish):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return radial.integrate(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", counting)
+    problem = AnnulusProblem(5, 2, 5.0, -0.5, 0.0)
+    result = shooting.solve_annulus(
+        problem, scan=shooting.ScanSpec(-2.0, 2.0, 101), polish=polish)
+    assert result.status == "ok" and calls == []
+    sol = result.solutions[0]
+    assert math.isclose(sol.inner_u, math.exp(-1.5 * sol.xi0), rel_tol=1e-12)
+    assert calls == []
+
+    traj = sol.trajectory
+    tol = (1e-10, 1e-12) if polish else (1e-7, 1e-9)
+    assert [(c["rtol"], c["atol"]) for c in calls] == [tol]
+    assert traj.termination == "reached_T"
+    assert traj.t_end == problem.T
+    end = radial.outer_bc_residual(traj.final_state, problem.c2, problem.R)
+    assert abs(end - sol.residual) <= 1e-12
+    assert sol.trajectory is traj and len(calls) == 1
+
+
 # ----------------------------------------------------- synthetic residuals
 
 
@@ -222,9 +253,7 @@ def _fake_residual_factory(fn):
     """
     elementwise = np.vectorize(fn, otypes=[float])
 
-    def factory(problem, rtol, atol, want_trajectory=False):
-        if want_trajectory:
-            return lambda s: (fn(s), None)
+    def factory(problem, rtol, atol):
         return elementwise
     return factory
 
