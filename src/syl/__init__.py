@@ -24,7 +24,9 @@ surrounding it:
     the ``syl`` command-line entry point.
 """
 
-from . import cli, fd, mobius, radial, schouten, shooting, symfn
+# ``cli`` is left out so that ``python -m syl.cli`` runs it fresh;
+# ``from syl import cli`` still works.
+from . import fd, mobius, radial, schouten, shooting, symfn
 from .mobius import (
     BoundaryData,
     Dilation,

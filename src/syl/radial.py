@@ -340,34 +340,66 @@ def _certified_breakdown(xi0, xi_t0, xi_t_last, n, k):
 # constants below this is the method scipy's RK45 steps with, so the
 # lanes of integrate_lanes and integrate_endpoint take the steps
 # integrate takes.
-_DP_A = tuple(np.array(row) for row in (
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-))
-_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200,
-                  -22 / 525, 1 / 40])
-_DP_A_FLOAT = tuple(tuple(map(float, row)) for row in _DP_A)
-_DP_B_FLOAT = tuple(map(float, _DP_B))
-_DP_E_FLOAT = tuple(map(float, _DP_E))
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
+         -22 / 525, 1 / 40)
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1 / 5
 
 
-def _lane_rhs(y, k, th, beta):
+def _lane_rhs(y, k, th, beta, out=None):
     """The clamped right-hand side of :func:`integrate` on (2, m) states.
 
-    Returns (f, w): the derivative and the clamped 1 - xi_t^2.
+    Returns (f, w): the derivative, written into ``out`` when given, and
+    the clamped 1 - xi_t^2.
     """
     v = np.where(np.abs(y[1]) < 1e150, y[1], 1e150)
     w = np.maximum(1.0 - v * v, 1e-30)
     growth = np.exp(np.minimum(-2.0 * k * y[0], 700.0))
-    return np.stack((y[1], th * growth * w ** (1 - k) - beta * w)), w
+    f = np.empty_like(y) if out is None else out
+    f[0] = y[1]
+    f[1] = th * growth * w ** (1 - k) - beta * w
+    return f, w
+
+
+def _sum_plan(weights):
+    """A weight column and the indices of its nonzero weights."""
+    return (np.array(weights)[:, None, None],
+            tuple(j for j, c in enumerate(weights) if c))
+
+
+_A_PLANS = tuple(_sum_plan(row) for row in _DP_A)
+_B_PLAN = _sum_plan(_DP_B)
+_E_PLAN = _sum_plan(_DP_E)
+
+
+def _weighted_sum(plan, K, W, out):
+    """sum_j c_j * K[j] over the nonzero weights c_j of ``plan``, into
+    ``out``; ``W`` is scratch shaped like ``K``.
+
+    Elementwise and added in tableau order, as integrate_endpoint adds;
+    a matrix product would round differently for different batch widths.
+    """
+    col, nonzero = plan
+    if len(nonzero) == 1:
+        j, = nonzero
+        return np.multiply(K[j], col[j], out=out)
+    s = col.shape[0]
+    np.multiply(K[:s], col, out=W[:s])
+    first, second, *rest = nonzero
+    np.add(W[first], W[second], out=out)
+    for j in rest:
+        out += W[j]
+    return out
 
 
 def _rms(a):
@@ -395,6 +427,111 @@ def _initial_step(y, f, T, k, th, beta, rtol, atol):
     return np.where(T < h, T, h)
 
 
+def _lane_start(y0, T, n, k, rtol, atol):
+    """(f, h): the derivative and starting step of seeds y0 of shape (2, m).
+
+    The starting step is bounded by T; with T = inf it is the step every
+    end time at or beyond both of scipy's trial sizes starts with.
+    """
+    th = theta_constant(n, k)
+    beta = (n - 2.0 * k) / (2.0 * k)
+    with np.errstate(all="ignore"):
+        f, _ = _lane_rhs(y0, k, th, beta)
+        return f, _initial_step(y0, f, T, k, th, beta, rtol, atol)
+
+
+def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
+               accepted=None):
+    """The controller of :func:`integrate_lanes`, from given lane states.
+
+    Lane i stands at time t[i] in state y[:, i], with derivative f[:, i]
+    and proposed step h[i], as after an accepted step, and steps towards
+    T; y0[:, i] is its seed, which certifies breakdowns.  A lane parks,
+    leaving without a state, when the first trial from an accepted state
+    would reach ``stop``: t + h >= stop, with h after the ten-ulp floor.
+    After every round, ``accepted(i, t, y, f, h)`` receives the lanes i
+    that accepted a step and go on, with their new states.
+
+    Every operation is elementwise and in a fixed order, so a lane takes
+    the same steps whatever other lanes share its batch.
+
+    Returns (end, cause): the (2, m) state at T, nan unless the lane
+    reached it, and per lane an index into ``TERMINATIONS``, or -1 for a
+    parked lane.
+    """
+    th = theta_constant(n, k)
+    beta = (n - 2.0 * k) / (2.0 * k)
+    m = t.size
+    end = np.full((2, m), np.nan)
+    cause = np.full(m, -1)
+    lane = np.arange(m)
+    rejected = np.zeros(m, dtype=bool)
+    K, W, acc = np.empty((7, 2, m)), np.empty((7, 2, m)), np.empty((2, m))
+
+    with np.errstate(all="ignore"):
+        while lane.size:
+            min_step = 10.0 * np.spacing(t)
+            h = np.where(~rejected & (h < min_step), min_step, h)
+            failed = leave = ~(h >= min_step)
+            if stop < math.inf:
+                leave = failed | (~rejected & (t + h >= stop))
+            t_new = np.minimum(t + h, T)
+            h = t_new - t
+
+            K[0] = f
+            for s, plan in enumerate(_A_PLANS, start=1):
+                _weighted_sum(plan, K, W, acc)
+                acc *= h
+                acc += y
+                _lane_rhs(acc, k, th, beta, out=K[s])
+            _weighted_sum(_B_PLAN, K, W, acc)
+            acc *= h
+            y_new = y + acc
+            _, w = _lane_rhs(y_new, k, th, beta, out=K[6])
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            _weighted_sum(_E_PLAN, K, W, acc)
+            acc *= h
+            acc /= scale
+            err = _rms(acc)
+
+            accept = (err < 1.0) & ~leave
+            power = _SAFETY * err ** _ERROR_EXPONENT
+            grow = np.where(err == 0.0, _MAX_FACTOR,
+                            np.minimum(_MAX_FACTOR, power))
+            grow = np.where(rejected, np.minimum(1.0, grow), grow)
+            # fmax ignores a nan norm, as Python's max(0.2, nan) does.
+            h = h * np.where(accept, grow, np.fmax(_MIN_FACTOR, power))
+            rejected = ~accept
+
+            fired = accept & (w <= ETA_GUARD)
+            y = np.where(accept, y_new, y)
+            f = np.where(accept, K[6], f)
+            t = np.where(accept, t_new, t)
+
+            reached = accept & (t >= T) & ~fired
+            end[:, lane[reached]] = y[:, reached]
+            cause[lane[reached]] = 0
+            cause[lane[fired]] = 1
+            if failed.any():
+                gone = lane[failed]
+                broke = _certified_breakdown(y0[0, gone], y0[1, gone],
+                                             y[1, failed], n, k)
+                cause[gone] = np.where(broke, 1, 2)
+
+            live = ~(reached | fired | leave)
+            if accepted is not None:
+                on = accept & live
+                accepted(lane[on], t[on], y[:, on], f[:, on], h[on])
+            if not live.all():
+                lane, y, f, h, t, rejected = (
+                    lane[live], y[:, live], f[:, live], h[live], t[live],
+                    rejected[live])
+                m = lane.size
+                K, W, acc = (np.empty((7, 2, m)), np.empty((7, 2, m)),
+                             np.empty((2, m)))
+    return end, cause
+
+
 def _check_endpoint_args(y0, T):
     if not np.all(1.0 - y0[1] ** 2 > ETA_GUARD):
         raise ValueError("initial state is not admissible")
@@ -419,75 +556,21 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
     stops early reports nan for its state.  Finished lanes leave the
     working arrays, so the cost per step follows the live lanes.
 
+    A lane's result does not depend on its batch: every operation is
+    elementwise, and the stage sums are formed in tableau order, as
+    :func:`integrate_endpoint` forms them.
+
     Returns (xi, xi_t, termination): the state at T and the cause, one of
     ``TERMINATIONS``, each shaped like the seeds.
     """
     shape = np.shape(xi0)
     y0 = np.array([np.ravel(xi0), np.ravel(xi_t0)], dtype=float)
     _check_endpoint_args(y0, T)
-    th = theta_constant(n, k)
-    beta = (n - 2.0 * k) / (2.0 * k)
-    m = y0.shape[1]
-    out = np.full((2, m), np.nan)
-    cause = np.zeros(m, dtype=int)  # index into TERMINATIONS
-
-    with np.errstate(all="ignore"):
-        lane = np.arange(m)
-        y = y0
-        f, _ = _lane_rhs(y, k, th, beta)
-        h = _initial_step(y, f, T, k, th, beta, rtol, atol)
-        t = np.zeros(m)
-        rejected = np.zeros(m, dtype=bool)
-        K = np.empty((7, 2, m))
-        while lane.size:
-            min_step = 10.0 * np.spacing(t)
-            h = np.where(~rejected & (h < min_step), min_step, h)
-            failed = ~(h >= min_step)
-            t_new = np.minimum(t + h, T)
-            h = t_new - t
-
-            K[0] = f
-            for s, a in enumerate(_DP_A, start=1):
-                dy = (a @ K[:s].reshape(s, -1)).reshape(y.shape) * h
-                K[s], _ = _lane_rhs(y + dy, k, th, beta)
-            y_new = y + h * (_DP_B @ K[:6].reshape(6, -1)).reshape(y.shape)
-            K[6], w = _lane_rhs(y_new, k, th, beta)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms((_DP_E @ K.reshape(7, -1)).reshape(y.shape) * h
-                       / scale)
-
-            accept = (err < 1.0) & ~failed
-            power = _SAFETY * err ** _ERROR_EXPONENT
-            grow = np.where(err == 0.0, _MAX_FACTOR,
-                            np.minimum(_MAX_FACTOR, power))
-            grow = np.where(rejected, np.minimum(1.0, grow), grow)
-            # fmax ignores a nan norm, as Python's max(0.2, nan) does.
-            h = h * np.where(accept, grow, np.fmax(_MIN_FACTOR, power))
-            rejected = ~accept
-
-            fired = accept & (w <= ETA_GUARD)
-            y = np.where(accept, y_new, y)
-            f = np.where(accept, K[6], f)
-            t = np.where(accept, t_new, t)
-
-            reached = accept & (t >= T) & ~fired
-            out[:, lane[reached]] = y[:, reached]
-            cause[lane[fired]] = 1
-            if failed.any():
-                gone = lane[failed]
-                broke = _certified_breakdown(y0[0, gone], y0[1, gone],
-                                             y[1, failed], n, k)
-                cause[gone] = np.where(broke, 1, 2)
-
-            live = ~(reached | fired | failed)
-            if not live.all():
-                lane, y, f, h, t, rejected = (
-                    lane[live], y[:, live], f[:, live], h[live], t[live],
-                    rejected[live])
-                K = np.empty((7, 2, lane.size))
-
+    f, h = _lane_start(y0, T, n, k, rtol, atol)
+    end, cause = _lane_loop(y0, np.zeros(y0.shape[1]), y0, f, h, T, n, k,
+                            rtol, atol)
     termination = np.asarray(TERMINATIONS)[cause].reshape(shape)
-    return out[0].reshape(shape), out[1].reshape(shape), termination
+    return end[0].reshape(shape), end[1].reshape(shape), termination
 
 
 def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
@@ -506,18 +589,14 @@ def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
     """
     y0 = np.array([[xi0], [xi_t0]], dtype=float)
     _check_endpoint_args(y0, T)
-    th = theta_constant(n, k)
-    beta = (n - 2.0 * k) / (2.0 * k)
     accel = _clamped_accel(n, k)
-
-    with np.errstate(all="ignore"):
-        f, _ = _lane_rhs(y0, k, th, beta)
-        h = float(_initial_step(y0, f, T, k, th, beta, rtol, atol)[0])
+    f, h = _lane_start(y0, T, n, k, rtol, atol)
+    h = float(h[0])
     x, v, a = float(y0[0, 0]), float(y0[1, 0]), float(f[1, 0])
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _DP_A_FLOAT
-    b1, _, b3, b4, b5, b6 = _DP_B_FLOAT
-    e1, _, e3, e4, e5, e6, e7 = _DP_E_FLOAT
+        (a61, a62, a63, a64, a65) = _DP_A
+    b1, _, b3, b4, b5, b6 = _DP_B
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
     t = 0.0
     rejected = False
     while True:

@@ -31,6 +31,8 @@ from scipy.optimize import brentq
 from .radial import (
     AnnulusProblem,
     RadialState,
+    _lane_loop,
+    _lane_start,
     integrate,
     integrate_endpoint,
     integrate_lanes,
@@ -190,6 +192,18 @@ def _seed_state(s: float, c1: float) -> RadialState | None:
     return RadialState(0.0, float(s), xi_t0)
 
 
+def _inner_slopes(seeds: np.ndarray, c1: float):
+    """(ok, xi_t0): which seeds are admissible, and their inner slopes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi_t0 = c1 * np.exp(-seeds)
+    return np.abs(xi_t0) <= 1.0 - SEED_MARGIN, xi_t0
+
+
+def _outer_residual(problem: AnnulusProblem, xi, xi_t):
+    """Outer Robin residuals of end states (xi, xi_t) arrays at r = R."""
+    return xi_t + problem.c2 * np.exp(-xi) / problem.R
+
+
 def _make_residual(problem: AnnulusProblem, rtol: float, atol: float):
     """Outer-residual-of-inner-value map; nan marks unevaluable seeds.
 
@@ -202,15 +216,12 @@ def _make_residual(problem: AnnulusProblem, rtol: float, atol: float):
     n, k, T = problem.n, problem.k, problem.T
 
     def lanes(seeds: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            xi_t0 = problem.c1 * np.exp(-seeds)
-        ok = np.abs(xi_t0) <= 1.0 - SEED_MARGIN
-        out = np.full(seeds.shape, math.nan)
+        ok, xi_t0 = _inner_slopes(seeds, problem.c1)
+        xi, xi_t = np.full((2,) + seeds.shape, math.nan)
         if ok.any():
-            xi, xi_t, _ = integrate_lanes(seeds[ok], xi_t0[ok], T, n, k,
-                                          rtol=rtol, atol=atol)
-            out[ok] = xi_t + problem.c2 * np.exp(-xi) / problem.R
-        return out
+            xi[ok], xi_t[ok], _ = integrate_lanes(
+                seeds[ok], xi_t0[ok], T, n, k, rtol=rtol, atol=atol)
+        return _outer_residual(problem, xi, xi_t)
 
     def endpoint(s):
         seed = _seed_state(s, problem.c1)
@@ -226,6 +237,104 @@ def _make_residual(problem: AnnulusProblem, rtol: float, atol: float):
         return endpoint(s)
 
     return fn
+
+
+class _SeedFan:
+    """Lane trajectories of one scan grid, read at any outer radius.
+
+    The radial ODE is autonomous and the inner Robin data does not depend
+    on R, so one trajectory per seed serves every outer radius.  Each
+    admissible seed of ``grid`` runs once on the lane loop of
+    :func:`integrate_lanes`, with no end time, and the controller state
+    after every accepted step is kept as a checkpoint: t, the state, its
+    derivative and the proposed next step.  The checkpoints go only as
+    far as the largest T asked for so far, and are extended from there.
+
+    A lane integrated to T takes the same steps until its first trial
+    that would pass T.  Trial steps from a checkpoint only shrink after
+    the first, whose size is the checkpoint's step, so the lane to T
+    passes through the first checkpoint whose first trial reaches T.
+    :meth:`residuals` restarts each lane there and takes the last step
+    or two on the same loop.  The exception is a T small enough to change
+    scipy's starting step, which bounds its trial steps by T: such a
+    lane restarts from t = 0 with the starting step for T.  Either way
+    the state at T is bit for bit the one a fresh :func:`integrate_lanes`
+    call gives, since a lane's steps do not depend on its batch.
+    """
+
+    def __init__(self, grid: np.ndarray, n: int, k: int, c1: float,
+                 rtol: float, atol: float):
+        self.n, self.k, self.rtol, self.atol = n, k, rtol, atol
+        self.size = grid.size
+        ok, xi_t0 = _inner_slopes(grid, c1)
+        self.index = np.flatnonzero(ok)
+        self.seeds = np.array([grid[ok], xi_t0[ok]])
+        m = self.index.size
+        f0, self.h0 = _lane_start(self.seeds, math.inf, n, k, rtol, atol)
+        self._parts = [(np.arange(m), np.zeros(m), self.seeds, f0,
+                        self.h0)]
+        self._front = np.arange(m)  # lanes still going
+        self._frontier = 0.0
+        self._merge()
+
+    def _merge(self):
+        """Order the checkpoints lane by lane, each lane in time order."""
+        lane, t, y, f, h = (np.concatenate(parts, axis=-1)
+                            for parts in zip(*self._parts))
+        order = np.argsort(lane, kind="stable")
+        lane, self._t, self._y, self._f, self._h = (
+            lane[order], t[order], y[:, order], f[:, order], h[order])
+        self._parts = [(lane, self._t, self._y, self._f, self._h)]
+        lanes = np.arange(self.index.size)
+        self._first = np.searchsorted(lane, lanes)
+        self._last = np.searchsorted(lane, lanes, side="right") - 1
+        # Where the first trial from each checkpoint ends, as the lane
+        # loop computes it: t + h after the ten-ulp floor.
+        min_step = 10.0 * np.spacing(self._t)
+        self._reach = self._t + np.where(self._h < min_step, min_step,
+                                         self._h)
+
+    def _extend(self, T: float):
+        """Run the lanes still going until a checkpoint's trial reaches T."""
+        lanes = self._front
+        last = self._last[lanes]
+
+        def keep(i, *state):
+            self._parts.append((lanes[i],) + state)
+
+        _, cause = _lane_loop(
+            self.seeds[:, lanes], self._t[last], self._y[:, last],
+            self._f[:, last], self._h[last], math.inf, self.n, self.k,
+            self.rtol, self.atol, stop=T, accepted=keep)
+        self._front = lanes[cause == -1]
+        self._frontier = T
+        self._merge()
+
+    def residuals(self, problem: AnnulusProblem) -> np.ndarray:
+        """Scan residuals over the grid for ``problem``, of the fan's class
+        and c1; nan marks unevaluable seeds."""
+        T = problem.T
+        xi, xi_t = np.full((2, self.size), math.nan)
+        if self.index.size:
+            if T > self._frontier:
+                self._extend(T)
+            _, h_T = _lane_start(self.seeds, T, self.n, self.k, self.rtol,
+                                 self.atol)
+            # Each lane replays from the first checkpoint whose first trial
+            # reaches T, or from t = 0 when T changes its starting step; a
+            # lane with neither broke down before T.
+            count = self._t.size
+            hits = np.where(self._reach >= T, np.arange(count), count)
+            first = np.minimum.reduceat(hits, self._first)
+            restart = (first == self._first) | (h_T != self.h0)
+            go = np.flatnonzero(restart | (first < count))
+            at = np.where(restart, self._first, first)[go]
+            h = np.where(restart[go], h_T[go], self._h[at])
+            end, _ = _lane_loop(
+                self.seeds[:, go], self._t[at], self._y[:, at],
+                self._f[:, at], h, T, self.n, self.k, self.rtol, self.atol)
+            xi[self.index[go]], xi_t[self.index[go]] = end
+        return _outer_residual(problem, xi, xi_t)
 
 
 def _nan_runs(values: np.ndarray):
@@ -258,6 +367,7 @@ def solve_annulus(
     merge_tol: float = 1e-6,
     gap_limit: int = 10,
     polish: bool = True,
+    _fan: _SeedFan | None = None,
 ) -> ShootingResult:
     """Find every rotationally symmetric solution on the annulus.
 
@@ -276,12 +386,16 @@ def solve_annulus(
     a run strictly inside the scan longer than ``gap_limit`` cells makes
     an empty result ``inconclusive`` rather than ``empty``, because a
     root could hide inside the unevaluated band.
+
+    The radius searches pass ``_fan``, a :class:`_SeedFan` of the same
+    grid, c1 and scan tolerance, which gives the same scan residuals
+    without integrating the grid again.
     """
     if scan is None:
         scan = default_scan(problem.n, problem.k)
     grid = scan.grid
     coarse = _make_residual(problem, scan_rtol, scan_atol)
-    residuals = coarse(grid)
+    residuals = coarse(grid) if _fan is None else _fan.residuals(problem)
 
     diag = ShootingDiagnostics(grid=grid, residuals=residuals)
     interior, lead, trail = _nan_runs(residuals)
@@ -345,6 +459,13 @@ def solve_annulus(
     return ShootingResult(problem, tuple(merged), status, diag)
 
 
+def _check_positive(**values):
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class RStarResult:
     """Outcome of the threshold-radius search."""
@@ -386,20 +507,30 @@ def find_r_star(
     way down to R - 1 = ``shrink_limit``, contradicting the thin-annulus
     expectation), ``unresolved`` (unsolvable all the way up to ``R_max``),
     ``inconclusive`` (a probe scan had a disqualifying interior gap).
+
+    The scan grid is integrated once, as a :class:`_SeedFan`, and every
+    probe reads its residuals from it.
     """
     if not c1 + c2 < 0.0:
         raise ValueError("threshold search needs c1 + c2 < 0")
     if not (2 <= k and 2 * k < n):
         raise ValueError("threshold search needs 2 <= k < n/2")
+    _check_positive(rel_tol=rel_tol, shrink_limit=shrink_limit, R_max=R_max)
+    if not 1.0 < growth < math.inf:
+        raise ValueError(f"growth must be finite and above 1, got {growth!r}")
     if not 1.0 < r_init < R_max:
         raise ValueError("need 1 < r_init < R_max")
+    if scan is None:
+        scan = default_scan(n, k)
+    fan = _SeedFan(scan.grid, n, k, c1, scan_rtol, scan_atol)
 
     history = []
 
     def solvable(R: float) -> bool | None:
         result = solve_annulus(
             AnnulusProblem(n, k, R, c1, c2), scan=scan,
-            scan_rtol=scan_rtol, scan_atol=scan_atol, polish=False)
+            scan_rtol=scan_rtol, scan_atol=scan_atol, polish=False,
+            _fan=fan)
         history.append((R, result.status, len(result.solutions)))
         if result.status == "inconclusive":
             return None
@@ -458,6 +589,8 @@ def find_r_star(
 
     while hi - lo > rel_tol * lo:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the bracket is two adjacent floats
         v = solvable(mid)
         if v is None:
             return finish("inconclusive")
@@ -496,17 +629,26 @@ def verify_bifurcation(
     counts shooting solutions as the outer radius varies; bisects the
     interval [(1-span) thr, (1+span) thr] on the predicate "more than one
     branch" and compares the located transition with the closed form.
+    The scan grid is integrated once, as a :class:`_SeedFan`, and every
+    probe reads its residuals from it.
     """
+    if not window > 0.0:
+        raise ValueError(f"window must be positive, got {window!r}")
+    if not 0.0 < span < 1.0:
+        raise ValueError(f"span must lie in (0, 1), got {span!r}")
+    _check_positive(rel_tol=rel_tol)
     thr = bifurcation_threshold(n, k)
     xi_c = cylinder_solution(n, k)[0]
     scan = ScanSpec(xi_c - window, xi_c + window, num)
+    fan = _SeedFan(scan.grid, n, k, 0.0, scan_rtol, scan_atol)
 
     history = []
 
     def count(R: float) -> int:
         result = solve_annulus(
             AnnulusProblem(n, k, R, 0.0, 0.0), scan=scan,
-            scan_rtol=scan_rtol, scan_atol=scan_atol, polish=False)
+            scan_rtol=scan_rtol, scan_atol=scan_atol, polish=False,
+            _fan=fan)
         history.append((R, len(result.solutions)))
         return len(result.solutions)
 
@@ -516,6 +658,8 @@ def verify_bifurcation(
                                  tuple(history))
     while hi - lo > rel_tol * thr:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the bracket is two adjacent floats
         if count(mid) > 1:
             hi = mid
         else:

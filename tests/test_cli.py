@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import syl
 from syl import cli, shooting
 
 
@@ -146,12 +149,29 @@ def test_verify_radial_suite(capsys):
     ["counterexample", "--n", "5", "--k", "2", "--c", "-1.0",
      "--delta", "0.05", "--eps", "0.2"],                   # eps above delta
     ["solve-annulus", "--n", "5", "--k", "2", "--R", "inf"],  # infinite radius
+    ["rstar", "--n", "5", "--k", "2", "--c1", "-0.3", "--c2", "0",
+     "--rel-tol", "0"],                                    # never converges
+    ["rstar", "--n", "5", "--k", "2", "--c1", "-0.3", "--c2", "0",
+     "--rel-tol", "nan"],                                  # never bisects
 ])
 def test_invalid_input_exits_one_with_stderr_message(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(syl.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "syl.cli",
+         "--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "rstar" in proc.stdout
 
 
 def test_missing_config_file_exits_one(capsys):

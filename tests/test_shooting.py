@@ -6,6 +6,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syl import radial, shooting
 from syl.radial import AnnulusProblem
@@ -165,6 +166,37 @@ def test_lane_scan_agrees_with_per_seed_integration(n, k, R, c1, c2):
     assert "ellipticity_breakdown" in causes
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+@pytest.mark.parametrize("n,k,R,c1,c2", [(4, 1, 5.0, -0.5, 0.3),
+                                         (5, 2, 5.0, -0.5, 0.0),
+                                         (7, 3, 6.0, 0.5, -0.2)])
+def test_lane_result_does_not_depend_on_batch(n, k, R, c1, c2):
+    grid = shooting.ScanSpec(-5.0, 5.0, 121).grid
+    xi_t0 = c1 * np.exp(-grid)
+    ok = np.abs(xi_t0) <= 1.0 - shooting.SEED_MARGIN
+    seeds = grid[ok], xi_t0[ok]
+    T = math.log(R)
+    batch = radial.integrate_lanes(*seeds, T, n, k, rtol=1e-7, atol=1e-9)
+    for i in range(seeds[0].size):
+        alone = radial.integrate_lanes(seeds[0][i:i + 1], seeds[1][i:i + 1],
+                                       T, n, k, rtol=1e-7, atol=1e-9)
+        assert _same_bits(alone[0], batch[0][i:i + 1])
+        assert _same_bits(alone[1], batch[1][i:i + 1])
+        assert alone[2][0] == batch[2][i]
+    # Any other batch of the same seeds: reversed, and every third one.
+    for part in (slice(None, None, -1), slice(1, None, 3)):
+        other = radial.integrate_lanes(seeds[0][part], seeds[1][part], T,
+                                       n, k, rtol=1e-7, atol=1e-9)
+        assert all(_same_bits(a, b[part]) for a, b in zip(other[:2], batch))
+        assert other[2].tolist() == batch[2][part].tolist()
+
+
 @pytest.mark.parametrize("n,k,R,c1,c2,rtol,atol", [
     (4, 1, 5.0, -0.5, 0.3, 1e-7, 1e-9),
     (5, 2, 5.0, -0.5, 0.0, 1e-7, 1e-9),
@@ -241,6 +273,98 @@ def test_solution_trajectories_are_integrated_once_when_read(monkeypatch,
     end = radial.outer_bc_residual(traj.final_state, problem.c2, problem.R)
     assert abs(end - sol.residual) <= 1e-12
     assert sol.trajectory is traj and len(calls) == 1
+
+
+# ------------------------------------------------------------ the seed fan
+
+
+@settings(max_examples=25, deadline=None)
+@given(cls=st.sampled_from([(5, 2), (7, 2), (7, 3)]),
+       c1=st.floats(-0.6, 0.6),
+       c2=st.floats(-0.5, 0.5),
+       tol=st.sampled_from([(1e-7, 1e-9), (1e-9, 1e-11)]),
+       tiny=st.floats(1e-12, 1e-6),
+       radii=st.lists(st.floats(1.0001, 12.0), min_size=2, max_size=5),
+       data=st.data())
+def test_fan_reads_equal_fresh_scans(cls, c1, c2, tol, tiny, radii, data):
+    # Radii in any order, one with T below the starting step, and a last
+    # one past every earlier read, which extends the fan.
+    n, k = cls
+    order = data.draw(st.permutations(radii + [1.0 + tiny]))
+    order.append(1.5 * max(order))
+    grid = shooting.default_scan(n, k, num=41).grid
+    fan = shooting._SeedFan(grid, n, k, c1, *tol)
+    for R in order:
+        problem = AnnulusProblem(n, k, R, c1, c2)
+        fresh = shooting._make_residual(problem, *tol)(grid)
+        assert _same_bits(fan.residuals(problem), fresh)
+
+
+def test_fan_restarts_a_lane_whose_starting_step_depends_on_T():
+    # For seed 22 of this grid, scipy's starting step is about 0.0058585
+    # with no end time, but bounding its first trial by T = ln 1.00591
+    # changes it, although it stays below T, and with it the state at T.
+    # The fan must start that lane afresh.
+    n, k, c1, tol = 7, 2, -0.6, (1e-9, 1e-11)
+    grid = shooting.default_scan(n, k, num=41).grid
+    R = 1.00591
+    T = math.log(R)
+    seed = np.array([grid[22:23], c1 * np.exp(-grid[22:23])])
+    f, h_free = radial._lane_start(seed, math.inf, n, k, *tol)
+    _, h_T = radial._lane_start(seed, T, n, k, *tol)
+    assert h_free[0] < T and h_T[0] != h_free[0]
+    ends = [radial._lane_loop(seed, np.zeros(1), seed, f, h, T, n, k, *tol)[0]
+            for h in (h_free, h_T)]
+    assert not _same_bits(*ends)
+
+    fan = shooting._SeedFan(grid, n, k, c1, *tol)
+    for radius in (3.0, R):
+        problem = AnnulusProblem(n, k, radius, c1, 0.0)
+        fresh = shooting._make_residual(problem, *tol)(grid)
+        assert _same_bits(fan.residuals(problem), fresh)
+
+
+@pytest.mark.parametrize("search", ["rstar", "bifurcation"])
+def test_a_search_integrates_each_seed_from_zero_once(monkeypatch, search):
+    # The fan's open-ended runs (T = inf) must form one chain of steps per
+    # seed: each run resumes a seed where the last one left it, and every
+    # accepted step moves it forward.  Each probe is one replay call.
+    where, replays = {}, []
+
+    def counting(y0, t, *args, accepted=None, **kwargs):
+        if args[3] != math.inf:
+            replays.append(t.size)
+            return radial._lane_loop(y0, t, *args, **kwargs)
+        for s, t_s in zip(y0[0].tolist(), t.tolist()):
+            assert t_s == where.get(s, 0.0)
+            where[s] = t_s
+
+        def chained(i, t_i, *state):
+            for s, t_s in zip(y0[0, i].tolist(), t_i.tolist()):
+                assert t_s > where[s]
+                where[s] = t_s
+            accepted(i, t_i, *state)
+
+        return radial._lane_loop(y0, t, *args, accepted=chained, **kwargs)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a probe integrated the scan grid afresh")
+
+    monkeypatch.setattr(shooting, "_lane_loop", counting)
+    monkeypatch.setattr(shooting, "integrate_lanes", no_scan)
+    if search == "rstar":
+        scan = shooting.default_scan(5, 2, num=60)
+        result = shooting.find_r_star(5, 2, -0.3, 0.0, scan=scan)
+        assert result.status == "ok"
+        admissible = shooting._inner_slopes(scan.grid, -0.3)[0]
+        seeds = scan.grid[admissible]
+    else:
+        result = shooting.verify_bifurcation(7, 2, window=0.3, num=30)
+        assert result.status == "ok"
+        xi_c = shooting.cylinder_solution(7, 2)[0]
+        seeds = shooting.ScanSpec(xi_c - 0.3, xi_c + 0.3, 30).grid
+    assert sorted(where) == seeds.tolist()
+    assert len(replays) == len(result.history)
 
 
 # ----------------------------------------------------- synthetic residuals
@@ -336,6 +460,7 @@ def test_find_r_star_validates_inputs():
         shooting.find_r_star(5, 2, -0.3, 0.0, r_init=0.9)
 
 
+
 def _fake_solver(decide):
     """solve_annulus stand-in driven by a per-radius verdict function."""
 
@@ -389,6 +514,22 @@ def test_find_r_star_reports_disqualified_probes(monkeypatch):
     assert result.status == "inconclusive"
     assert result.r_star is None and result.bracket is None
 
+@pytest.mark.parametrize("kwargs", [
+    {"rel_tol": 0.0}, {"rel_tol": -1e-4}, {"rel_tol": math.nan},
+    {"rel_tol": math.inf}, {"shrink_limit": 0.0},
+    {"shrink_limit": math.nan}, {"R_max": math.inf}, {"R_max": math.nan},
+    {"growth": 1.0}, {"growth": 0.5}, {"growth": math.nan},
+    {"growth": math.inf},
+])
+def test_find_r_star_refuses_degenerate_search_parameters(monkeypatch,
+                                                          kwargs):
+    # Each of these made the search loop forever or skip its bisection.
+    monkeypatch.setattr(shooting, "solve_annulus",
+                        _fake_solver(lambda R: False))
+    with pytest.raises(ValueError):
+        shooting.find_r_star(5, 2, -0.3, 0.0, **kwargs)
+
+
 
 # ------------------------------------------------------- branch transition
 
@@ -422,6 +563,32 @@ def test_verify_bifurcation_fails_without_a_branch_jump(monkeypatch):
     assert result.status == "failed"
     assert result.located is None and result.relative_error is None
     assert len(result.history) == 2
+
+@pytest.mark.parametrize("kwargs", [
+    {"window": 0.0}, {"window": -0.5}, {"window": math.nan},
+    {"span": 0.0}, {"span": 1.0}, {"span": math.nan},
+    {"rel_tol": 0.0}, {"rel_tol": math.nan}, {"rel_tol": math.inf},
+])
+def test_verify_bifurcation_refuses_degenerate_search_parameters(
+        monkeypatch, kwargs):
+    monkeypatch.setattr(shooting, "solve_annulus",
+                        _fake_counter(lambda R: 1 if R < 6.0 else 3))
+    with pytest.raises(ValueError):
+        shooting.verify_bifurcation(7, 2, **kwargs)
+
+
+def test_bisections_stop_at_adjacent_floats(monkeypatch):
+    # A tolerance finer than float spacing ends with an adjacent-float
+    # bracket instead of probing its midpoint forever.
+    monkeypatch.setattr(shooting, "solve_annulus",
+                        _fake_solver(lambda R: R >= 1.37))
+    found = shooting.find_r_star(5, 2, -0.3, 0.0, rel_tol=1e-300)
+    lo, hi = found.bracket
+    assert found.status == "ok" and hi == np.nextafter(lo, 2.0)
+    monkeypatch.setattr(shooting, "solve_annulus",
+                        _fake_counter(lambda R: 1 if R < 6.0 else 3))
+    located = shooting.verify_bifurcation(7, 2, rel_tol=1e-300).located
+    assert abs(located - 6.0) <= 1e-14
 
 
 # ------------------------------------------------------ degenerating seeds
