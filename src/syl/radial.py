@@ -371,34 +371,18 @@ def _lane_rhs(y, k, th, beta, out=None):
     return f, w
 
 
-def _sum_plan(weights):
-    """A weight column and the indices of its nonzero weights."""
-    return (np.array(weights)[:, None, None],
-            tuple(j for j, c in enumerate(weights) if c))
-
-
-_A_PLANS = tuple(_sum_plan(row) for row in _DP_A)
-_B_PLAN = _sum_plan(_DP_B)
-_E_PLAN = _sum_plan(_DP_E)
-
-
-def _weighted_sum(plan, K, W, out):
-    """sum_j c_j * K[j] over the nonzero weights c_j of ``plan``, into
-    ``out``; ``W`` is scratch shaped like ``K``.
+def _weighted_sum(weights, K, out, term):
+    """sum_j c_j * K[j] over the nonzero weights c_j, into ``out``;
+    ``term`` is scratch shaped like ``out``.  Every tableau row starts
+    with a nonzero weight.
 
     Elementwise and added in tableau order, as integrate_endpoint adds;
     a matrix product would round differently for different batch widths.
     """
-    col, nonzero = plan
-    if len(nonzero) == 1:
-        j, = nonzero
-        return np.multiply(K[j], col[j], out=out)
-    s = col.shape[0]
-    np.multiply(K[:s], col, out=W[:s])
-    first, second, *rest = nonzero
-    np.add(W[first], W[second], out=out)
-    for j in rest:
-        out += W[j]
+    np.multiply(K[0], weights[0], out=out)
+    for j in range(1, len(weights)):
+        if weights[j]:
+            out += np.multiply(K[j], weights[j], out=term)
     return out
 
 
@@ -466,7 +450,7 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
     cause = np.full(m, -1)
     lane = np.arange(m)
     rejected = np.zeros(m, dtype=bool)
-    K, W, acc = np.empty((7, 2, m)), np.empty((7, 2, m)), np.empty((2, m))
+    K, acc, term = np.empty((7, 2, m)), np.empty((2, m)), np.empty((2, m))
 
     with np.errstate(all="ignore"):
         while lane.size:
@@ -479,17 +463,17 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
             h = t_new - t
 
             K[0] = f
-            for s, plan in enumerate(_A_PLANS, start=1):
-                _weighted_sum(plan, K, W, acc)
+            for s, row in enumerate(_DP_A, start=1):
+                _weighted_sum(row, K, acc, term)
                 acc *= h
                 acc += y
                 _lane_rhs(acc, k, th, beta, out=K[s])
-            _weighted_sum(_B_PLAN, K, W, acc)
+            _weighted_sum(_DP_B, K, acc, term)
             acc *= h
             y_new = y + acc
             _, w = _lane_rhs(y_new, k, th, beta, out=K[6])
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            _weighted_sum(_E_PLAN, K, W, acc)
+            _weighted_sum(_DP_E, K, acc, term)
             acc *= h
             acc /= scale
             err = _rms(acc)
@@ -527,8 +511,8 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
                     lane[live], y[:, live], f[:, live], h[live], t[live],
                     rejected[live])
                 m = lane.size
-                K, W, acc = (np.empty((7, 2, m)), np.empty((7, 2, m)),
-                             np.empty((2, m)))
+                K, acc, term = (np.empty((7, 2, m)), np.empty((2, m)),
+                                np.empty((2, m)))
     return end, cause
 
 

@@ -6,7 +6,6 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from syl import radial, shooting
 from syl.radial import AnnulusProblem
@@ -278,26 +277,26 @@ def test_solution_trajectories_are_integrated_once_when_read(monkeypatch,
 # ------------------------------------------------------------ the seed fan
 
 
-@settings(max_examples=25, deadline=None)
-@given(cls=st.sampled_from([(5, 2), (7, 2), (7, 3)]),
-       c1=st.floats(-0.6, 0.6),
-       c2=st.floats(-0.5, 0.5),
-       tol=st.sampled_from([(1e-7, 1e-9), (1e-9, 1e-11)]),
-       tiny=st.floats(1e-12, 1e-6),
-       radii=st.lists(st.floats(1.0001, 12.0), min_size=2, max_size=5),
-       data=st.data())
-def test_fan_reads_equal_fresh_scans(cls, c1, c2, tol, tiny, radii, data):
-    # Radii in any order, one with T below the starting step, and a last
-    # one past every earlier read, which extends the fan.
-    n, k = cls
-    order = data.draw(st.permutations(radii + [1.0 + tiny]))
-    order.append(1.5 * max(order))
+@pytest.mark.parametrize("n,k", [(5, 2), (7, 2), (7, 3)])
+@pytest.mark.parametrize("tol", [(1e-7, 1e-9), (1e-9, 1e-11)])
+def test_fan_reads_equal_fresh_scans(n, k, tol):
+    # Each draw reads radii in a random order, one with R - 1 <= 1e-6,
+    # which puts T below the starting step, and last a radius past every
+    # earlier read, which extends the fan.  c1 takes both ends of its
+    # range and two random values.
+    rng = np.random.default_rng([n, k, round(-math.log10(tol[0]))])
     grid = shooting.default_scan(n, k, num=41).grid
-    fan = shooting._SeedFan(grid, n, k, c1, *tol)
-    for R in order:
-        problem = AnnulusProblem(n, k, R, c1, c2)
-        fresh = shooting._make_residual(problem, *tol)(grid)
-        assert _same_bits(fan.residuals(problem), fresh)
+    for c1 in (-0.6, 0.6, *rng.uniform(-0.6, 0.6, 2)):
+        c2 = rng.uniform(-0.5, 0.5)
+        radii = rng.uniform(1.0001, 12.0, rng.integers(2, 6)).tolist()
+        radii.append(1.0 + 10.0 ** rng.uniform(-12.0, -6.0))
+        order = [radii[i] for i in rng.permutation(len(radii))]
+        order.append(1.5 * max(order))
+        fan = shooting._SeedFan(grid, n, k, c1, *tol)
+        for R in order:
+            problem = AnnulusProblem(n, k, R, c1, c2)
+            fresh = shooting._make_residual(problem, *tol)(grid)
+            assert _same_bits(fan.residuals(problem), fresh)
 
 
 def test_fan_restarts_a_lane_whose_starting_step_depends_on_T():
@@ -322,6 +321,30 @@ def test_fan_restarts_a_lane_whose_starting_step_depends_on_T():
         problem = AnnulusProblem(n, k, radius, c1, 0.0)
         fresh = shooting._make_residual(problem, *tol)(grid)
         assert _same_bits(fan.residuals(problem), fresh)
+
+
+@pytest.mark.parametrize("change", ["grid", "class", "c1", "rtol", "atol"])
+def test_solve_annulus_refuses_a_fan_of_another_scan(change):
+    scan = shooting.default_scan(5, 2, num=40)
+    fan = shooting._SeedFan(scan.grid, 5, 2, -0.3, 1e-7, 1e-9)
+    problem = AnnulusProblem(5, 2, 3.0, -0.3, 0.0)
+    kwargs = dict(scan=scan, scan_rtol=1e-7, scan_atol=1e-9, polish=False)
+    served = shooting.solve_annulus(problem, _fan=fan, **kwargs)
+    fresh = shooting.solve_annulus(problem, **kwargs)
+    assert _same_bits(served.diagnostics.residuals,
+                      fresh.diagnostics.residuals)
+
+    if change == "grid":
+        kwargs["scan"] = shooting.default_scan(5, 2, num=41)
+    elif change == "class":
+        problem = AnnulusProblem(7, 2, 3.0, -0.3, 0.0)
+        kwargs["scan"] = shooting.ScanSpec(scan.lo, scan.hi, scan.num)
+    elif change == "c1":
+        problem = AnnulusProblem(5, 2, 3.0, -0.2, 0.0)
+    else:
+        kwargs["scan_" + change] = 1e-8
+    with pytest.raises(ValueError, match="another scan"):
+        shooting.solve_annulus(problem, _fan=fan, **kwargs)
 
 
 @pytest.mark.parametrize("search", ["rstar", "bifurcation"])
