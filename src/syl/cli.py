@@ -225,9 +225,7 @@ def _cmd_build_f(args):
         "config": _config_echo(args, ["n", "k", "alpha", "count", "seed",
                                       "tol"]),
         "delta": built.delta,
-        "axioms": {chk.name: {"passed": bool(chk.passed),
-                              "max_violation": float(chk.max_violation)}
-                   for chk in report.checks},
+        "axioms": report.as_dict(),
         "passed": bool(report.passed),
     }
     return payload, 0 if report.passed else 2
@@ -429,10 +427,7 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = 0
         payload, code = args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (_CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(payload, args.out)

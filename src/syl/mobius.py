@@ -758,14 +758,12 @@ def verify_reduction_identities(n: int = 4, count: int = 1000, *,
         word = MobiusMap([Translation(ctr), Inversion(np.zeros(n), rad),
                           Translation(-ctr)])
         probe = rng.normal(size=n) + ctr + 1.5 * np.ones(n)
+        image, D, J, g_log = word._chain(probe)
         gap = max(
-            float(np.abs(word.apply(probe) - direct.apply(probe)).max()),
-            float(np.abs(word.jacobian_matrix(probe)
-                         - direct.jacobian_matrix(probe)).max()),
-            abs(word.jac(probe) - direct.jac(probe))
-            / max(1.0, abs(direct.jac(probe))),
-            float(np.abs(word.grad_log_jac(probe)
-                         - direct.grad_log_jac(probe)).max()),
+            float(np.abs(image - direct.apply(probe)).max()),
+            float(np.abs(D - direct.jacobian_matrix(probe)).max()),
+            abs(J - direct.jac(probe)) / max(1.0, abs(direct.jac(probe))),
+            float(np.abs(g_log - direct.grad_log_jac(probe)).max()),
         )
         note("center_decomposition", gap, idx)
 

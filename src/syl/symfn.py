@@ -9,6 +9,7 @@ values, so boundary points classify as outside.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -44,6 +45,24 @@ def _as_vector(lam) -> np.ndarray:
     return lam
 
 
+def _elementary(lam: np.ndarray, k: int):
+    """Yield e_0..e_k of ``lam`` (of each row when 2-D) by Newton's
+    identities, m*e_m = sum_{j=1..m} (-1)^(j-1) e_(m-j) p_j on the power
+    sums p_j.  The power sum p_m is formed only when e_m is asked for,
+    and each e_m is the same float whatever k is."""
+    e = [1.0 if lam.ndim == 1 else np.ones(len(lam))]
+    yield e[0]
+    p, powers = [], np.ones(lam.shape)
+    for m in range(1, k + 1):
+        powers *= lam
+        p.append(powers.sum(axis=-1))
+        acc = 0.0
+        for j in range(1, m + 1):
+            acc += (1.0 if j % 2 else -1.0) * e[m - j] * p[j - 1]
+        e.append(acc / m)
+        yield e[m]
+
+
 def sigma_k(lam, k: int):
     """k-th elementary symmetric polynomial of the entries of ``lam``.
 
@@ -60,19 +79,8 @@ def sigma_k(lam, k: int):
     n = lam.shape[-1]
     if not 0 <= k <= n:
         raise ValueError(f"order k={k} out of range for n={n}")
-    # Newton's identities: m*e_m = sum_{j=1..m} (-1)^(j-1) e_(m-j) p_j
-    powers = lam.copy()
-    p = []
-    for _ in range(k):
-        p.append(powers.sum(axis=-1))
-        powers *= lam
-    e = [1.0 if lam.ndim == 1 else np.ones(len(lam))]
-    for m in range(1, k + 1):
-        acc = 0.0
-        for j in range(1, m + 1):
-            acc += (1.0 if j % 2 else -1.0) * e[m - j] * p[j - 1]
-        e.append(acc / m)
-    return float(e[k]) if lam.ndim == 1 else e[k]
+    *_, e_k = _elementary(lam, k)
+    return float(e_k) if lam.ndim == 1 else e_k
 
 
 def sigma_k_bruteforce(lam, k: int) -> float:
@@ -90,11 +98,9 @@ def sigma_k_gradient(lam, k: int) -> np.ndarray:
     n = lam.size
     if not 1 <= k <= n:
         raise ValueError(f"order k={k} out of range for n={n}")
-    grad = np.empty(n)
-    for i in range(n):
-        rest = np.delete(lam, i)
-        grad[i] = 1.0 if k == 1 else sigma_k(rest, k - 1)
-    return grad
+    # Row i is lam without entry i, as np.delete(lam, i) gives it.
+    rest = np.broadcast_to(lam, (n, n))[~np.eye(n, dtype=bool)]
+    return list(_elementary(rest.reshape(n, n - 1), k - 1))[-1]
 
 
 def in_gamma_k(lam, k: int) -> bool:
@@ -102,7 +108,8 @@ def in_gamma_k(lam, k: int) -> bool:
     lam = _as_vector(lam)
     if not 1 <= k <= lam.size:
         raise ValueError(f"order k={k} out of range for n={lam.size}")
-    return all(sigma_k(lam, l) > 0.0 for l in range(1, k + 1))
+    orders = itertools.islice(_elementary(lam, k), 1, None)  # e_1..e_k
+    return all(e > 0.0 for e in orders)  # stops at the first e_l <= 0
 
 
 @dataclass(frozen=True)
@@ -300,7 +307,8 @@ class AxiomReport:
 
     def as_dict(self) -> dict:
         return {
-            c.name: {"passed": c.passed, "max_violation": c.max_violation}
+            c.name: {"passed": bool(c.passed),
+                     "max_violation": float(c.max_violation)}
             for c in self.checks
         }
 
@@ -309,31 +317,22 @@ def _numerical_hessian(fun, x, in_cone, step_scale=1e-5):
     """Central-difference Hessian; shrinks the step if the stencil exits the cone."""
     x = np.asarray(x, dtype=float)
     n = x.size
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
     h = step_scale * max(1.0, float(np.linalg.norm(x)))
     for _ in range(4):
-        pts = []
-        for i in range(n):
-            for j in range(n):
-                ei = np.zeros(n)
-                ej = np.zeros(n)
-                ei[i] = h
-                ej[j] = h
-                pts += [x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]
-        if all(in_cone(p) for p in pts):
+        e = np.eye(n) * h
+        # The (j, i) points are the (i, j) points reordered, bit for bit.
+        stencil = [(x + e[i] + e[j], x + e[i] - e[j],
+                    x - e[i] + e[j], x - e[i] - e[j]) for i, j in pairs]
+        if all(in_cone(p) for pts in stencil for p in pts):
             break
         h *= 0.1
     else:
         return None
     H = np.empty((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        for j in range(i, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            v = (fun(x + ei + ej) - fun(x + ei - ej)
-                 - fun(x - ei + ej) + fun(x - ei - ej)) / (4.0 * h * h)
-            H[i, j] = H[j, i] = v
+    for (i, j), (pp, pm, mp, mm) in zip(pairs, stencil):
+        v = (fun(pp) - fun(pm) - fun(mp) + fun(mm)) / (4.0 * h * h)
+        H[i, j] = H[j, i] = v
     return H
 
 
@@ -366,63 +365,58 @@ def verify_axioms(
         if not f.in_cone(s):
             raise ValueError("verify_axioms requires interior sample points")
 
-    sym_v = pos_v = mono_v = conc_v = hom_v = delta_v = 0.0
-    sym_w = pos_w = mono_w = conc_w = hom_w = delta_w = None
+    viol = collections.defaultdict(float)  # check name -> worst violation
+    where = {}  # check name -> the sample showing it
     strictly_positive = strictly_monotone = True
     skipped_hessians = 0
+
+    def note(name, v, s):
+        if v > viol[name]:
+            viol[name], where[name] = v, s
 
     for s in samples:
         val = f.value(s)
         scale = 1.0 + abs(val)
 
         perm = rng.permutation(s.size)
-        v = abs(f.value(s[perm]) - val) / scale
-        if v > sym_v:
-            sym_v, sym_w = v, s
+        note("symmetry", abs(f.value(s[perm]) - val) / scale, s)
 
         strictly_positive &= val > 0.0
-        v = max(0.0, -val)
-        if v > pos_v:
-            pos_v, pos_w = v, s
+        note("positivity", max(0.0, -val), s)
 
         grad = np.asarray(f.gradient(s), dtype=float)
         strictly_monotone &= float(grad.min()) > 0.0
-        v = max(0.0, -float(grad.min()))
-        if v > mono_v:
-            mono_v, mono_w = v, s
+        note("monotonicity", max(0.0, -float(grad.min())), s)
 
         H = _numerical_hessian(f.value, s, f.in_cone, hessian_step)
         if H is None:
             skipped_hessians += 1
         else:
-            v = max(0.0, float(np.linalg.eigvalsh(H).max()))
-            if v > conc_v:
-                conc_v, conc_w = v, s
+            note("concavity", max(0.0, float(np.linalg.eigvalsh(H).max())), s)
 
         if f.homogeneous:
             t = float(rng.uniform(0.5, 2.0))
-            v = abs(f.value(t * s) - t * val) / (scale * t)
-            if v > hom_v:
-                hom_v, hom_w = v, s
+            note("homogeneity", abs(f.value(t * s) - t * val) / (scale * t), s)
 
         if f.delta is not None:
-            v = max(0.0, f.delta - float(grad.sum()))
-            if v > delta_v:
-                delta_v, delta_w = v, s
+            note("gradient_trace_bound",
+                 max(0.0, f.delta - float(grad.sum())), s)
+
+    def check(name, passed):
+        return AxiomCheck(name, passed, viol[name], where.get(name))
 
     checks = [
-        AxiomCheck("symmetry", sym_v <= 1e-12, sym_v, sym_w),
-        AxiomCheck("positivity", strictly_positive, pos_v, pos_w),
-        AxiomCheck("monotonicity", strictly_monotone, mono_v, mono_w),
-        AxiomCheck("concavity", conc_v <= concavity_tol, conc_v, conc_w),
+        check("symmetry", viol["symmetry"] <= 1e-12),
+        check("positivity", strictly_positive),
+        check("monotonicity", strictly_monotone),
+        check("concavity", viol["concavity"] <= concavity_tol),
     ]
     if f.homogeneous:
-        checks.append(AxiomCheck("homogeneity", hom_v <= 1e-10, hom_v, hom_w))
+        checks.append(check("homogeneity", viol["homogeneity"] <= 1e-10))
     if f.delta is not None:
-        checks.append(AxiomCheck("gradient_trace_bound",
-                                 delta_v <= 1e-8, delta_v, delta_w))
+        checks.append(check("gradient_trace_bound",
+                            viol["gradient_trace_bound"] <= 1e-8))
     if skipped_hessians:
-        checks.append(AxiomCheck("hessian_stencil_in_cone",
-                                 skipped_hessians == 0,
-                                 float(skipped_hessians), None))
+        checks.append(AxiomCheck("hessian_stencil_in_cone", False,
+                                 float(skipped_hessians)))
     return AxiomReport(tuple(checks))

@@ -542,11 +542,13 @@ def test_find_r_star_reports_disqualified_probes(monkeypatch):
     {"rel_tol": math.inf}, {"shrink_limit": 0.0},
     {"shrink_limit": math.nan}, {"R_max": math.inf}, {"R_max": math.nan},
     {"growth": 1.0}, {"growth": 0.5}, {"growth": math.nan},
-    {"growth": math.inf},
+    {"growth": math.inf}, {"growth": 1.0 + 2.0 ** -52}, {"growth": 1.001},
 ])
 def test_find_r_star_refuses_degenerate_search_parameters(monkeypatch,
                                                           kwargs):
     # Each of these made the search loop forever or skip its bisection.
+    # The last two need more than MAX_GROWTH_PROBES radii to reach R_max;
+    # with 1 + 2**-52, gap * growth rounds back to gap.
     monkeypatch.setattr(shooting, "solve_annulus",
                         _fake_solver(lambda R: False))
     with pytest.raises(ValueError):

@@ -71,6 +71,34 @@ def test_gamma_cone_membership_is_strict():
         symfn.in_gamma_k(np.ones(3), 4)
 
 
+def _draws_with_zeros(seed, count=400):
+    """Seeded vectors, n <= 8, about a third of them with zero entries."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        lam = rng.normal(0.0, 1.5, size=n)
+        if rng.random() < 0.35:
+            lam[rng.random(n) < 0.4] = 0.0
+        yield lam, int(rng.integers(1, n + 1))
+
+
+def test_in_gamma_k_equals_per_order_sign_tests():
+    for lam, k in _draws_with_zeros(2024):
+        expected = all(symfn.sigma_k(lam, l) > 0.0 for l in range(1, k + 1))
+        assert symfn.in_gamma_k(lam, k) == expected
+    # sigma_1 < 0 settles it before the power sums of higher orders,
+    # which would overflow here, are formed.
+    assert not symfn.in_gamma_k(np.array([-1e120, 1.0, 1.0]), 3)
+
+
+def test_sigma_k_gradient_equals_delete_one_sigma_bit_for_bit():
+    for lam, k in _draws_with_zeros(4048):
+        grad = symfn.sigma_k_gradient(lam, k)
+        assert grad.shape == lam.shape
+        assert grad.tolist() == [symfn.sigma_k(np.delete(lam, i), k - 1)
+                                 for i in range(lam.size)]
+
+
 def test_cone_spec_validation():
     spec = symfn.ConeSpec(2, 5)
     assert spec.contains(np.ones(5))
@@ -268,3 +296,45 @@ def test_axiom_report_accessors():
     assert report["symmetry"].passed
     with pytest.raises(KeyError):
         report["no_such_check"]
+
+
+def _quadratic():
+    a = np.array([[2.0, -1.0, 3.0], [-1.0, 4.0, 0.0], [3.0, 0.0, -5.0]])
+    return a, lambda y: float(y @ a @ y)
+
+
+def test_numerical_hessian_is_exact_on_a_quadratic():
+    # Dyadic point and step: every stencil value is an exact float.
+    a, fun = _quadratic()
+    x = np.array([0.5, 0.25, -0.5])
+    H = symfn._numerical_hessian(fun, x, lambda p: True, 2.0 ** -3)
+    assert np.array_equal(H, 2.0 * a)
+
+
+def test_numerical_hessian_shrinks_its_step_inside_the_cone():
+    a, fun = _quadratic()
+    in_cone = lambda p: p[0] > 0.0
+    x = np.array([2.0 ** -5, 0.5, 0.5])  # 2h = 0.25 crosses p[0] = 0
+    asked = []
+
+    def guarded(p):
+        assert in_cone(p)
+        asked.append(p)
+        return fun(p)
+
+    H = symfn._numerical_hessian(guarded, x, in_cone, 2.0 ** -3)
+    np.testing.assert_allclose(H, 2.0 * a, rtol=1e-9, atol=1e-9)
+    # one shrink, to h = 0.0125, keeps the stencil in the cone
+    assert max(np.abs(p - x).max() for p in asked) == pytest.approx(0.025)
+    # four points per entry on or above the diagonal
+    assert len(asked) == 4 * 6
+
+
+def test_numerical_hessian_gives_up_after_four_shrinks():
+    def fun(p):
+        raise AssertionError("no stencil point lies in the cone")
+
+    # 2h is 0.25, ..., 2.5e-4 over the four tries; a fifth, 2.5e-5, fits.
+    x = np.array([1e-4, 0.5, 0.5])
+    assert symfn._numerical_hessian(fun, x, lambda p: p[0] > 0.0,
+                                    2.0 ** -3) is None
