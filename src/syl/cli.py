@@ -61,22 +61,22 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, attr, value)
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
+def _fill(args: argparse.Namespace, params) -> None:
+    """Refuse unset required parameters, then apply the declared defaults."""
+    missing = [name for name, _, default, *_ in params
+               if default is ... and getattr(args, name) is None]
     if missing:
         raise _CliError("missing required parameter(s): "
                         + ", ".join(m.replace("_", "-") for m in missing))
+    for name, _, default, *_ in params:
+        if getattr(args, name) is None:
+            setattr(args, name, default)
 
 
-def _defaults(args: argparse.Namespace, **pairs) -> None:
-    for key, value in pairs.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-
-
-def _config_echo(args: argparse.Namespace, keys) -> dict:
+def _config_echo(args: argparse.Namespace) -> dict:
+    """The command's declared parameters and the seed, as used."""
     out = {}
-    for key in keys:
+    for key in [name for name, *_ in _COMMANDS[args.command][2]] + ["seed"]:
         value = getattr(args, key)
         if isinstance(value, float) and not math.isfinite(value):
             value = repr(value)
@@ -89,21 +89,18 @@ def _config_echo(args: argparse.Namespace, keys) -> dict:
 
 
 def _cmd_solve_annulus(args):
-    _require(args, "n", "k", "R")
-    _defaults(args, c1=0.0, c2=0.0, scan_num=2000)
     problem = radial.AnnulusProblem(int(args.n), int(args.k), float(args.R),
                                     float(args.c1), float(args.c2))
     scan = None
     if args.scan_lo is not None or args.scan_hi is not None:
-        _require(args, "scan_lo", "scan_hi")
+        # A scan range needs both of its bounds.
+        _fill(args, [("scan_lo", float, ...), ("scan_hi", float, ...)])
         scan = shooting.ScanSpec(float(args.scan_lo), float(args.scan_hi),
                                  int(args.scan_num))
     result = shooting.solve_annulus(problem, scan=scan)
-    echo_keys = ["n", "k", "R", "c1", "c2", "scan_lo", "scan_hi", "scan_num",
-                 "seed"]
     payload = {
         "command": "solve-annulus",
-        "config": _config_echo(args, echo_keys),
+        "config": _config_echo(args),
         "status": result.status,
         "solutions": [
             {"xi0": s.xi0, "xi_t0": s.xi_t0, "residual": s.residual,
@@ -128,16 +125,13 @@ def _cmd_solve_annulus(args):
 
 
 def _cmd_rstar(args):
-    _require(args, "n", "k", "c1", "c2")
-    _defaults(args, r_init=1.01, r_max=64.0, rel_tol=1e-4)
     result = shooting.find_r_star(
         int(args.n), int(args.k), float(args.c1), float(args.c2),
         r_init=float(args.r_init), R_max=float(args.r_max),
         rel_tol=float(args.rel_tol))
     payload = {
         "command": "rstar",
-        "config": _config_echo(args, ["n", "k", "c1", "c2", "r_init",
-                                      "r_max", "rel_tol", "seed"]),
+        "config": _config_echo(args),
         "status": result.status,
         "r_star": result.r_star,
         "bracket": list(result.bracket) if result.bracket else None,
@@ -148,7 +142,6 @@ def _cmd_rstar(args):
 
 
 def _cmd_counterexample(args):
-    _require(args, "n", "k", "c", "delta", "eps")
     if isinstance(args.eps, str):
         eps_values = [float(tok) for tok in args.eps.split(",") if tok.strip()]
     elif isinstance(args.eps, (list, tuple)):
@@ -160,7 +153,8 @@ def _cmd_counterexample(args):
         eps_values)
     payload = {
         "command": "counterexample",
-        "config": _config_echo(args, ["n", "k", "c", "delta", "seed"]),
+        "config": {key: value for key, value in _config_echo(args).items()
+                   if key != "eps"},
         "eps": eps_values,
         "R0": sweep.R0,
         "rows": [
@@ -175,13 +169,12 @@ def _cmd_counterexample(args):
 
 
 def _cmd_cylinder(args):
-    _require(args, "n", "k")
     n, k = int(args.n), int(args.k)
     xi_cyl, scale = shooting.cylinder_solution(n, k)
     lam = schouten.radial_spectrum(xi_cyl, 0.0, 0.0, n)
     payload = {
         "command": "cylinder",
-        "config": _config_echo(args, ["n", "k", "seed"]),
+        "config": _config_echo(args),
         "xi_cyl": xi_cyl,
         "scale": scale,
         "sigma_k_residual": float(symfn.sigma_k(lam, k) - 1.0),
@@ -191,7 +184,6 @@ def _cmd_cylinder(args):
 
 
 def _cmd_cone_check(args):
-    _require(args, "k", "lam")
     lam = np.array([float(tok) for tok in str(args.lam).split(",")
                     if tok.strip()])
     k = int(args.k)
@@ -209,8 +201,6 @@ def _cmd_cone_check(args):
 
 
 def _cmd_build_f(args):
-    _require(args, "n", "k")
-    _defaults(args, alpha=0.5, count=200, seed=0, tol=1e-8)
     n, k = int(args.n), int(args.k)
     alpha = float(args.alpha)
     base = symfn.sigma_root(k, n)
@@ -222,8 +212,7 @@ def _cmd_build_f(args):
     report = symfn.verify_axioms(built, samples, rng=rng)
     payload = {
         "command": "build-f",
-        "config": _config_echo(args, ["n", "k", "alpha", "count", "seed",
-                                      "tol"]),
+        "config": _config_echo(args),
         "delta": built.delta,
         "axioms": report.as_dict(),
         "passed": bool(report.passed),
@@ -317,7 +306,6 @@ _SUITES = {
 
 
 def _cmd_verify(args):
-    _defaults(args, suite="all", count=200, tol=1e-9, seed=0)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     unknown = [nm for nm in names if nm not in _SUITES]
     if unknown:
@@ -329,7 +317,7 @@ def _cmd_verify(args):
     passed = all(s["passed"] for s in suites.values())
     payload = {
         "command": "verify",
-        "config": _config_echo(args, ["suite", "count", "tol", "seed"]),
+        "config": _config_echo(args),
         "suites": suites,
         "passed": passed,
     }
@@ -342,80 +330,58 @@ def _cmd_verify(args):
     return payload, 0 if passed else 2
 
 
-# ----------------------------------------------------------------------
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file supplying parameters")
-    sub.add_argument("--out", help="directory for result.json and artifacts")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="RNG seed for randomized checks")
-    sub.add_argument("--csv", action="store_true",
-                     help="also write CSV artifacts into --out")
+# Each command: (handler, help, [(name, type, default[, argparse keywords])]);
+# a default of ``...`` marks a required parameter.
+_COMMANDS = {
+    "solve-annulus": (
+        _cmd_solve_annulus, "shooting solve of the annulus problem",
+        [("n", int, ...), ("k", int, ...), ("R", float, ...),
+         ("c1", float, 0.0), ("c2", float, 0.0), ("scan_lo", float, None),
+         ("scan_hi", float, None), ("scan_num", int, 2000)]),
+    "rstar": (
+        _cmd_rstar, "threshold-radius search",
+        [("n", int, ...), ("k", int, ...), ("c1", float, ...),
+         ("c2", float, ...), ("r_init", float, 1.01), ("r_max", float, 64.0),
+         ("rel_tol", float, 1e-4)]),
+    "counterexample": (
+        _cmd_counterexample, "bounded-C1 blow-up family sweep",
+        [("n", int, ...), ("k", int, ...), ("c", float, ...),
+         ("delta", float, ...),
+         ("eps", None, ..., {"help": "comma-separated list of eps values"})]),
+    "cylinder": (_cmd_cylinder, "cylinder equilibrium data",
+                 [("n", int, ...), ("k", int, ...)]),
+    "cone-check": (
+        _cmd_cone_check, "cone membership of a vector",
+        [("k", int, ...),
+         ("lam", None, ..., {"help": "comma-separated eigenvalue vector"})]),
+    "build-f": (
+        _cmd_build_f,
+        "build a homogenized concave curvature function and check its axioms",
+        [("n", int, ...), ("k", int, ...), ("alpha", float, 0.5),
+         ("count", int, 200), ("tol", float, 1e-8)]),
+    "verify": (
+        _cmd_verify, "run library invariant suites",
+        [("suite", None, "all", {"choices": sorted(_SUITES) + ["all"]}),
+         ("count", int, 200),
+         ("tol", float, 1e-9, {"help": "read only by the reductions suite"})]),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="syl", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("solve-annulus",
-                         help="shooting solve of the annulus problem")
-    for name, typ in [("--n", int), ("--k", int), ("--R", float),
-                      ("--c1", float), ("--c2", float),
-                      ("--scan-lo", float), ("--scan-hi", float),
-                      ("--scan-num", int)]:
-        sp.add_argument(name, type=typ, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_solve_annulus)
-
-    sp = subs.add_parser("rstar", help="threshold-radius search")
-    for name, typ in [("--n", int), ("--k", int), ("--c1", float),
-                      ("--c2", float), ("--r-init", float),
-                      ("--r-max", float), ("--rel-tol", float)]:
-        sp.add_argument(name, type=typ, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_rstar)
-
-    sp = subs.add_parser("counterexample",
-                         help="bounded-C1 blow-up family sweep")
-    for name, typ in [("--n", int), ("--k", int), ("--c", float),
-                      ("--delta", float)]:
-        sp.add_argument(name, type=typ, default=None)
-    sp.add_argument("--eps", default=None,
-                    help="comma-separated list of eps values")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_counterexample)
-
-    sp = subs.add_parser("cylinder", help="cylinder equilibrium data")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_cylinder)
-
-    sp = subs.add_parser("cone-check", help="cone membership of a vector")
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--lam", default=None,
-                    help="comma-separated eigenvalue vector")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_cone_check)
-
-    sp = subs.add_parser("build-f",
-                         help="build a homogenized concave curvature "
-                              "function and check its axioms")
-    for name, typ in [("--n", int), ("--k", int), ("--alpha", float),
-                      ("--count", int), ("--tol", float)]:
-        sp.add_argument(name, type=typ, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_build_f)
-
-    sp = subs.add_parser("verify", help="run library invariant suites")
-    sp.add_argument("--suite", default=None,
-                    choices=sorted(_SUITES) + ["all"])
-    sp.add_argument("--count", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_verify)
-
+    for command, (_, help_text, params) in _COMMANDS.items():
+        sp = subs.add_parser(command, help=help_text)
+        for name, typ, _, *keywords in params:
+            sp.add_argument("--" + name.replace("_", "-"), type=typ,
+                            default=None, **dict(*keywords))
+        sp.add_argument("--config", help="JSON file supplying parameters")
+        sp.add_argument("--out",
+                        help="directory for result.json and artifacts")
+        sp.add_argument("--seed", type=int, default=None,
+                        help="RNG seed for randomized checks")
+        sp.add_argument("--csv", action="store_true",
+                        help="also write CSV artifacts into --out")
     return parser
 
 
@@ -426,7 +392,9 @@ def main(argv=None) -> int:
         _merge_config(args)
         if args.seed is None:
             args.seed = 0
-        payload, code = args.func(args)
+        handler, _, params = _COMMANDS[args.command]
+        _fill(args, params)
+        payload, code = handler(args)
     except (_CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,14 +17,8 @@ def _steps(x, scale):
 
 
 def gradient(fun, x, scale: float = DEFAULT_STEP) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    h = _steps(x, scale)
-    g = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h[i]
-        g[i] = (fun(x + e) - fun(x - e)) / (2.0 * h[i])
-    return g
+    """Gradient of a scalar function: its :func:`jacobian`."""
+    return jacobian(fun, x, scale)
 
 
 def hessian(fun, x, scale: float = DEFAULT_STEP) -> np.ndarray:

@@ -3,8 +3,8 @@
 Three layers:
 
 * generator classes (translation, orthogonal map, dilation, sphere
-  inversion) and :class:`MobiusMap` words over them, each carrying exact
-  Jacobian data (matrix, absolute determinant, gradient of its log);
+  inversion) and :class:`MobiusMap` words over them, each defined by its
+  exact 1-jet (image, Jacobian matrix, |det| and its log-gradient);
 * the Kelvin transform of a scalar field, the moving-sphere radius of a
   field at a point over a sample cloud, the interior gradient bound that
   radius implies, and two elementary sphere inequalities used by the
@@ -63,8 +63,25 @@ def _vec(v) -> np.ndarray:
     return out
 
 
+class _Conformal:
+    """Accessors of a conformal map psi, each read off its 1-jet
+    ``jet(y) = (psi(y), d(psi)(y), |det d(psi)(y)|, grad log |det|)``."""
+
+    def apply(self, y):
+        return self.jet(y)[0]
+
+    def jacobian_matrix(self, y):
+        return self.jet(y)[1]
+
+    def jac(self, y):
+        return self.jet(y)[2]
+
+    def grad_log_jac(self, y):
+        return self.jet(y)[3]
+
+
 @dataclass(frozen=True)
-class Translation:
+class Translation(_Conformal):
     """y -> y + v.  Unit Jacobian everywhere."""
 
     v: np.ndarray
@@ -72,24 +89,16 @@ class Translation:
     def __post_init__(self):
         object.__setattr__(self, "v", _vec(self.v))
 
-    def apply(self, y):
-        return np.asarray(y, dtype=float) + self.v
-
-    def jacobian_matrix(self, y):
-        return np.eye(self.v.size)
-
-    def jac(self, y):
-        return 1.0
-
-    def grad_log_jac(self, y):
-        return np.zeros(self.v.size)
+    def jet(self, y):
+        n = self.v.size
+        return np.asarray(y, dtype=float) + self.v, np.eye(n), 1.0, np.zeros(n)
 
     def inverse(self):
         return Translation(-self.v)
 
 
 @dataclass(frozen=True)
-class Orthogonal:
+class Orthogonal(_Conformal):
     """y -> O y for an orthogonal matrix O.  Unit Jacobian everywhere."""
 
     O: np.ndarray
@@ -102,24 +111,16 @@ class Orthogonal:
             raise ValueError("matrix is not orthogonal")
         object.__setattr__(self, "O", O)
 
-    def apply(self, y):
-        return self.O @ np.asarray(y, dtype=float)
-
-    def jacobian_matrix(self, y):
-        return self.O.copy()
-
-    def jac(self, y):
-        return 1.0
-
-    def grad_log_jac(self, y):
-        return np.zeros(self.O.shape[0])
+    def jet(self, y):
+        return (self.O @ np.asarray(y, dtype=float), self.O.copy(), 1.0,
+                np.zeros(self.O.shape[0]))
 
     def inverse(self):
         return Orthogonal(self.O.T)
 
 
 @dataclass(frozen=True)
-class Dilation:
+class Dilation(_Conformal):
     """y -> rho y for rho > 0.  Jacobian rho^n, log-gradient zero."""
 
     rho: float
@@ -128,24 +129,17 @@ class Dilation:
         if not self.rho > 0.0:
             raise ValueError("dilation factor must be positive")
 
-    def apply(self, y):
-        return self.rho * np.asarray(y, dtype=float)
-
-    def jacobian_matrix(self, y):
-        return self.rho * np.eye(np.asarray(y).size)
-
-    def jac(self, y):
-        return self.rho ** np.asarray(y).size
-
-    def grad_log_jac(self, y):
-        return np.zeros(np.asarray(y).size)
+    def jet(self, y):
+        y = np.asarray(y, dtype=float)
+        n = y.size
+        return self.rho * y, self.rho * np.eye(n), self.rho ** n, np.zeros(n)
 
     def inverse(self):
         return Dilation(1.0 / self.rho)
 
 
 @dataclass(frozen=True)
-class Inversion:
+class Inversion(_Conformal):
     """Sphere inversion y -> x + lam^2 (y - x) / |y - x|^2.
 
     An involution fixing the sphere |y - x| = lam, with
@@ -163,40 +157,27 @@ class Inversion:
         if not self.radius > 0.0:
             raise ValueError("inversion radius must be positive")
 
-    def _z(self, y):
+    def jet(self, y):
         z = np.asarray(y, dtype=float) - self.center
         r2 = float(z @ z)
         if r2 < _POLE_TOL:
             raise ValueError("inversion evaluated at its pole")
-        return z, r2
-
-    def apply(self, y):
-        z, r2 = self._z(y)
-        return self.center + (self.radius ** 2 / r2) * z
-
-    def jacobian_matrix(self, y):
-        z, r2 = self._z(y)
         n = z.size
-        return (self.radius ** 2 / r2) * (np.eye(n) - 2.0 * np.outer(z, z) / r2)
-
-    def jac(self, y):
-        z, r2 = self._z(y)
-        return (self.radius ** 2 / r2) ** z.size
-
-    def grad_log_jac(self, y):
-        z, r2 = self._z(y)
-        return -2.0 * z.size * z / r2
+        q = self.radius ** 2 / r2
+        return (self.center + q * z,
+                q * (np.eye(n) - 2.0 * np.outer(z, z) / r2),
+                q ** n, -2.0 * n * z / r2)
 
     def inverse(self):
         return Inversion(self.center, self.radius)
 
 
-class MobiusMap:
+class MobiusMap(_Conformal):
     """Composition word of conformal generators.
 
     ``MobiusMap([g1, g2, g3])`` is the map g1 o g2 o g3 -- the rightmost
-    generator acts first.  All Jacobian data is assembled in one pass by
-    the chain rule; evaluation raises if the orbit hits an inversion pole.
+    generator acts first.  Its jet composes the generator jets by the
+    chain rule; evaluation raises if the orbit hits an inversion pole.
     """
 
     def __init__(self, word):
@@ -204,33 +185,18 @@ class MobiusMap:
         if not self.word:
             raise ValueError("empty composition word")
 
-    def _chain(self, y):
-        z = np.asarray(y, dtype=float).copy()
-        n = z.size
-        D = np.eye(n)
-        g_log = np.zeros(n)
-        jprod = 1.0
+    def jet(self, y):
+        z = np.asarray(y, dtype=float)
+        D, g_log, jprod = np.eye(z.size), np.zeros(z.size), 1.0
         for g in reversed(self.word):
-            g_log = g_log + D.T @ g.grad_log_jac(z)
-            jprod *= g.jac(z)
-            D = g.jacobian_matrix(z) @ D
-            z = g.apply(z)
+            z, Dg, Jg, g_log_g = g.jet(z)
+            g_log = g_log + D.T @ g_log_g
+            jprod *= Jg
+            D = Dg @ D
         return z, D, jprod, g_log
-
-    def apply(self, y):
-        return self._chain(y)[0]
 
     def __call__(self, y):
         return self.apply(y)
-
-    def jacobian_matrix(self, y):
-        return self._chain(y)[1]
-
-    def jac(self, y):
-        return self._chain(y)[2]
-
-    def grad_log_jac(self, y):
-        return self._chain(y)[3]
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         return MobiusMap(self.word + other.word)
@@ -557,11 +523,7 @@ def transform_boundary_data(psi, u_field: ScalarField, data: BoundaryData,
     """
     n = data.n
     c = (n - 2.0) / (2.0 * n)
-    x = data.x
-    image = psi.apply(x)
-    D = psi.jacobian_matrix(x)
-    J = psi.jac(x)
-    glog = psi.grad_log_jac(x)
+    image, D, J, glog = psi.jet(data.x)
     uval = float(u_field.value(image))
     ugrad = _vec(u_field.gradient(image))
     Jc = J ** c
@@ -758,13 +720,12 @@ def verify_reduction_identities(n: int = 4, count: int = 1000, *,
         word = MobiusMap([Translation(ctr), Inversion(np.zeros(n), rad),
                           Translation(-ctr)])
         probe = rng.normal(size=n) + ctr + 1.5 * np.ones(n)
-        image, D, J, g_log = word._chain(probe)
-        gap = max(
-            float(np.abs(image - direct.apply(probe)).max()),
-            float(np.abs(D - direct.jacobian_matrix(probe)).max()),
-            abs(J - direct.jac(probe)) / max(1.0, abs(direct.jac(probe))),
-            float(np.abs(g_log - direct.grad_log_jac(probe)).max()),
-        )
+        image, D, J, g_log = word.jet(probe)
+        image_d, D_d, J_d, g_log_d = direct.jet(probe)
+        gap = max(float(np.abs(image - image_d).max()),
+                  float(np.abs(D - D_d).max()),
+                  abs(J - J_d) / max(1.0, abs(J_d)),
+                  float(np.abs(g_log - g_log_d).max()))
         note("center_decomposition", gap, idx)
 
     return report

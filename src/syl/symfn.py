@@ -52,10 +52,10 @@ def _elementary(lam: np.ndarray, k: int):
     and each e_m is the same float whatever k is."""
     e = [1.0 if lam.ndim == 1 else np.ones(len(lam))]
     yield e[0]
-    p, powers = [], np.ones(lam.shape)
+    p, powers = [], 1.0
     for m in range(1, k + 1):
-        powers *= lam
-        p.append(powers.sum(axis=-1))
+        powers = powers * lam
+        p.append(np.add.reduce(powers, axis=-1))
         acc = 0.0
         for j in range(1, m + 1):
             acc += (1.0 if j % 2 else -1.0) * e[m - j] * p[j - 1]
@@ -103,13 +103,33 @@ def sigma_k_gradient(lam, k: int) -> np.ndarray:
     return list(_elementary(rest.reshape(n, n - 1), k - 1))[-1]
 
 
+def _cone_signs(lam: np.ndarray, k: int):
+    """True when e_1..e_k are all positive, False at the first negative
+    one, None at the first that is zero or non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in itertools.islice(_elementary(lam, k), 1, None):
+            if not 0.0 < abs(e) < math.inf:
+                return None
+            if e < 0.0:
+                return False
+    return True
+
+
 def in_gamma_k(lam, k: int) -> bool:
-    """Open-cone membership: sigma_l(lam) > 0 strictly for every l <= k."""
+    """Open-cone membership: sigma_l(lam) > 0 strictly for every l <= k.
+
+    A pass that meets a zero or non-finite e_l (a boundary point, or over-
+    or underflow at an extreme scale) is redone on lam scaled by a power of
+    two to max|lam| in [1/2, 1); that scaling is exact, so it moves no sign.
+    """
     lam = _as_vector(lam)
     if not 1 <= k <= lam.size:
         raise ValueError(f"order k={k} out of range for n={lam.size}")
-    orders = itertools.islice(_elementary(lam, k), 1, None)  # e_1..e_k
-    return all(e > 0.0 for e in orders)  # stops at the first e_l <= 0
+    verdict = _cone_signs(lam, k)
+    if verdict is None:
+        lam = np.ldexp(lam, -np.frexp(np.abs(lam).max())[1])
+        verdict = bool(_cone_signs(lam, k))
+    return verdict
 
 
 @dataclass(frozen=True)

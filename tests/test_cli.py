@@ -137,6 +137,45 @@ def test_verify_radial_suite(capsys):
     assert all(case["passed"] for case in cases.values())
 
 
+_CHEAP_ARGV = {
+    "solve-annulus": ["--n", "5", "--k", "2", "--R", "5.0", "--scan-lo",
+                      "-0.3", "--scan-hi", "0.8", "--scan-num", "41"],
+    "rstar": ["--n", "5", "--k", "2", "--c1", "-0.3", "--c2", "0.0",
+              "--r-init", "1.001", "--r-max", "1.005"],
+    "counterexample": ["--n", "5", "--k", "2", "--c", "-1.0", "--delta",
+                       "0.05", "--eps", "0.001"],
+    "cylinder": ["--n", "5", "--k", "2"],
+    "cone-check": ["--k", "2", "--lam=1,1,1"],
+    "build-f": ["--n", "4", "--k", "2", "--count", "3"],
+    "verify": ["--suite", "cone", "--count", "3"],
+}
+_CONFIG_KEYS = {
+    "solve-annulus": {"n", "k", "R", "c1", "c2", "scan_lo", "scan_hi",
+                      "scan_num", "seed"},
+    "rstar": {"n", "k", "c1", "c2", "r_init", "r_max", "rel_tol", "seed"},
+    "counterexample": {"n", "k", "c", "delta", "seed"},
+    "cylinder": {"n", "k", "seed"},
+    "cone-check": {"k", "lam"},
+    "build-f": {"n", "k", "alpha", "count", "tol", "seed"},
+    "verify": {"suite", "count", "tol", "seed"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CHEAP_ARGV))
+def test_config_echoes_the_declared_parameters_and_seed(capsys, command):
+    code, doc = _run_json(capsys, [command] + _CHEAP_ARGV[command])
+    assert code in (0, 2)
+    assert set(doc["config"]) == _CONFIG_KEYS[command]
+    declared = {name for name, *_ in cli._COMMANDS[command][2]} | {"seed"}
+    # counterexample reports eps at top level; cone-check echoes only its
+    # parsed inputs
+    if command == "counterexample":
+        declared -= {"eps"}
+    if command == "cone-check":
+        declared -= {"seed"}
+    assert declared == _CONFIG_KEYS[command]
+
+
 # -------------------------------------------------------------- bad input
 
 

@@ -124,6 +124,57 @@ def test_mobius_map_compose_and_inverse():
         MobiusMap([])
 
 
+def _closed_form_jet(g, y):
+    """Each generator's jet slot by its own closed form, term by term."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    if isinstance(g, Translation):
+        return y + g.v, np.eye(n), 1.0, np.zeros(n)
+    if isinstance(g, Orthogonal):
+        return g.O @ y, g.O.copy(), 1.0, np.zeros(n)
+    if isinstance(g, Dilation):
+        return g.rho * y, g.rho * np.eye(n), g.rho ** n, np.zeros(n)
+    z = y - g.center
+    r2 = float(z @ z)
+    return (g.center + (g.radius ** 2 / r2) * z,
+            (g.radius ** 2 / r2) * (np.eye(n) - 2.0 * np.outer(z, z) / r2),
+            (g.radius ** 2 / r2) ** n, -2.0 * n * z / r2)
+
+
+def _chain_of_closed_forms(word, y):
+    """The chain rule over a word, one generator slot at a time."""
+    z = np.asarray(y, dtype=float)
+    D, g_log, jprod = np.eye(z.size), np.zeros(z.size), 1.0
+    for g in reversed(word.word):
+        image, Dg, Jg, g_log_g = _closed_form_jet(g, z)
+        g_log = g_log + D.T @ g_log_g
+        jprod *= Jg
+        D = Dg @ D
+        z = image
+    return z, D, jprod, g_log
+
+
+def _same_bits(a, b):
+    return all(np.asarray(u).tobytes() == np.asarray(v).tobytes()
+               for u, v in zip(a, b, strict=True))
+
+
+def test_jet_equals_accessors_and_chain_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    for _ in range(200):
+        n = int(rng.integers(3, 7))
+        word = MobiusMap([_generators(n, rng)[int(i)]
+                          for i in rng.integers(0, 4, size=rng.integers(1, 6))])
+        y = rng.normal(size=n)
+        for psi in word.word + (word,):
+            jet = psi.jet(y)
+            assert _same_bits(jet, (psi.apply(y), psi.jacobian_matrix(y),
+                                    psi.jac(y), psi.grad_log_jac(y)))
+        for g in word.word:
+            assert _same_bits(g.jet(y), _closed_form_jet(g, y))
+        assert _same_bits(word.jet(y), _chain_of_closed_forms(word, y))
+
+
 # ------------------------------------------------------- kelvin transform
 
 

@@ -1,5 +1,6 @@
 """Tests for the symmetric-function and cone-algebra layer."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,17 @@ def test_in_gamma_k_equals_per_order_sign_tests():
     # sigma_1 < 0 settles it before the power sums of higher orders,
     # which would overflow here, are formed.
     assert not symfn.in_gamma_k(np.array([-1e120, 1.0, 1.0]), 3)
+
+
+def test_in_gamma_k_at_extreme_scales():
+    # e_3 overflows at 1e120 and underflows to zero at 1e-120; the pass is
+    # redone at unit scale, silently, and an exact zero stays outside.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert symfn.in_gamma_k(np.full(3, 1e120), 3)
+        assert symfn.in_gamma_k(np.full(3, 1e-120), 3)
+        assert not symfn.in_gamma_k(np.array([1.0, 1.0, 0.0]), 3)
+        assert not symfn.in_gamma_k(np.array([-1e200, 1e200, 1e200]), 3)
 
 
 def test_sigma_k_gradient_equals_delete_one_sigma_bit_for_bit():
