@@ -74,40 +74,47 @@ def eigenvalues(A: np.ndarray, *, sym_tol: float = 1e-9) -> np.ndarray:
     """Spectrum of a small dense symmetric matrix, sorted non-increasing.
 
     Cyclic Jacobi rotations: deterministic, no external solver involved,
-    accurate for the n <= 16 matrices this package produces.
+    accurate for the n <= 16 matrices this package produces.  Each
+    rotation updates rows p and q, then columns p and q, of the matrix
+    held as lists of Python floats: every product and difference rounds
+    as the same numpy array operation would, without numpy's per-call
+    cost on rows this short.  The off-diagonal norm that ends the sweeps
+    stays a numpy sum, because numpy's pairwise summation order is not a
+    left-to-right float loop's.  Non-finite entries are refused.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix must be finite")
     scale = 1.0 + float(np.abs(A).max())
     if float(np.abs(A - A.T).max()) > sym_tol * scale:
         raise ValueError("matrix must be symmetric")
-    a = 0.5 * (A + A.T)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, 0:1].copy()
+    a = (0.5 * (A + A.T)).tolist()
+    n = len(a)
 
     for _ in range(60):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
+        off = math.sqrt(2.0 * float(np.sum(np.triu(np.array(a), 1) ** 2)))
         if off <= 1e-15 * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a[p][q]
                 if abs(apq) <= 1e-18 * scale:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / math.hypot(1.0, t)
                 s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-    return np.sort(np.diag(a))[::-1].copy()
+                rp, rq = a[p], a[q]
+                a[p] = [c * x - s * y for x, y in zip(rp, rq)]
+                a[q] = [s * x + c * y for x, y in zip(rp, rq)]
+                for row in a:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+                a[p][q] = a[q][p] = 0.0
+    return np.sort([a[i][i] for i in range(n)])[::-1].copy()
 
 
 def rank_one_spectrum(mu: float, x, nu: float) -> np.ndarray:

@@ -385,12 +385,16 @@ def verify_axioms(
         if not f.in_cone(s):
             raise ValueError("verify_axioms requires interior sample points")
 
-    viol = collections.defaultdict(float)  # check name -> worst violation
+    # check name -> worst violation; a value <= 0 is never recorded, so
+    # a satisfied check reads 0.0
+    viol = collections.defaultdict(float)
     where = {}  # check name -> the sample showing it
     strictly_positive = strictly_monotone = True
     skipped_hessians = 0
 
     def note(name, v, s):
+        if math.isnan(v):  # a nan violation must fail its check
+            v = math.inf
         if v > viol[name]:
             viol[name], where[name] = v, s
 
@@ -402,25 +406,24 @@ def verify_axioms(
         note("symmetry", abs(f.value(s[perm]) - val) / scale, s)
 
         strictly_positive &= val > 0.0
-        note("positivity", max(0.0, -val), s)
+        note("positivity", -val, s)
 
         grad = np.asarray(f.gradient(s), dtype=float)
         strictly_monotone &= float(grad.min()) > 0.0
-        note("monotonicity", max(0.0, -float(grad.min())), s)
+        note("monotonicity", -float(grad.min()), s)
 
         H = _numerical_hessian(f.value, s, f.in_cone, hessian_step)
         if H is None:
             skipped_hessians += 1
         else:
-            note("concavity", max(0.0, float(np.linalg.eigvalsh(H).max())), s)
+            note("concavity", float(np.linalg.eigvalsh(H).max()), s)
 
         if f.homogeneous:
             t = float(rng.uniform(0.5, 2.0))
             note("homogeneity", abs(f.value(t * s) - t * val) / (scale * t), s)
 
         if f.delta is not None:
-            note("gradient_trace_bound",
-                 max(0.0, f.delta - float(grad.sum())), s)
+            note("gradient_trace_bound", f.delta - float(grad.sum()), s)
 
     def check(name, passed):
         return AxiomCheck(name, passed, viol[name], where.get(name))

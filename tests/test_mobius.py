@@ -480,6 +480,29 @@ def test_householder_rotation_sends_the_normal_to_the_first_axis():
     assert np.array_equal(mobius._householder_to_axis(e1), np.eye(5))
 
 
+@pytest.mark.parametrize("target", ["_spectrum_gap", "center_decomposition"])
+def test_reduction_identities_fail_on_a_nan_violation(monkeypatch, target):
+    if target == "_spectrum_gap":
+        monkeypatch.setattr(mobius, "_spectrum_gap", lambda *a: math.nan)
+        failing = set(mobius.REDUCTION_NAMES) - {"center_decomposition"}
+    else:
+        # only the word's inversion sits at the origin: a nan differential
+        jet = mobius.Inversion.jet
+
+        def nan_at_origin(self, y):
+            image, D, J, g = jet(self, y)
+            return image, D * (math.nan if not self.center.any() else 1.0), J, g
+
+        monkeypatch.setattr(mobius.Inversion, "jet", nan_at_origin)
+        failing = {"center_decomposition"}
+    report = mobius.verify_reduction_identities(n=4, count=3, seed=1)
+    assert not report.passed
+    for name in mobius.REDUCTION_NAMES:
+        assert (report.max_violation[name] == math.inf) == (name in failing)
+        if name in failing:
+            assert report.worst_index[name] == 0
+
+
 def test_reduction_identities_pass_on_random_jets(tmp_path):
     report = mobius.verify_reduction_identities(n=4, count=60, seed=1,
                                                 tol=1e-9)

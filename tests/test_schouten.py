@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from syl import fd, schouten
+from syl import fd, mobius, schouten
 
 
 def test_conformal_factor_sample_validation():
@@ -41,6 +41,108 @@ def test_eigenvalues_rejects_bad_input():
         schouten.eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         schouten.eigenvalues(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_eigenvalues_refuses_non_finite_entries(bad, where):
+    A = np.eye(3)
+    A[where] = A[where[::-1]] = bad
+    with pytest.raises(ValueError, match="finite"):
+        schouten.eigenvalues(A)
+
+
+def _numpy_rotation_loop(A, sym_tol=1e-9):
+    """The cyclic Jacobi loop as numpy row and column operations: the
+    reference the float-row rotations must reproduce bit for bit."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("matrix must be square")
+    scale = 1.0 + float(np.abs(A).max())
+    if float(np.abs(A - A.T).max()) > sym_tol * scale:
+        raise ValueError("matrix must be symmetric")
+    a = 0.5 * (A + A.T)
+    n = a.shape[0]
+    if n == 1:
+        return a[0, 0:1].copy()
+
+    for _ in range(60):
+        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
+        if off <= 1e-15 * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-18 * scale:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                a[p, q] = a[q, p] = 0.0
+    return np.sort(np.diag(a))[::-1].copy()
+
+
+def _symmetric_draws(rng, count):
+    """Seeded symmetric matrices, n = 1..16: dense, sparse, integer-valued
+    and widely scaled."""
+    for i in range(count):
+        n = 1 + i % 16
+        M = rng.normal(size=(n, n))
+        kind = (i // 16) % 4
+        if kind == 1:
+            M *= rng.random((n, n)) < 0.3
+        elif kind == 2:
+            M = np.round(3.0 * M)
+        elif kind == 3:
+            M *= 10.0 ** rng.uniform(-8.0, 8.0)
+        yield M + M.T
+
+
+def test_eigenvalues_equal_the_numpy_rotation_loop_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    matrices = list(_symmetric_draws(rng, 320))
+    for n in (3, 4, 5, 7):
+        factors = (schouten.Bubble(n, 1.3, amplitude=0.8), schouten.Cylinder(n))
+        for factor in factors:
+            for _ in range(5):
+                y = rng.normal(size=n)
+                matrices.append(schouten.schouten_matrix(factor.sample(y)))
+    mismatches = [A for A in matrices
+                  if schouten.eigenvalues(A).tobytes()
+                  != _numpy_rotation_loop(A).tobytes()]
+    assert not mismatches, f"{len(mismatches)} of {len(matrices)} differ"
+
+
+def test_eigenvalues_match_a_50_digit_oracle(monkeypatch):
+    """Jacobi against mpmath's eigsy at 50 digits, on random symmetric
+    matrices and on the canonical boundary matrices the reduction
+    verifier feeds the solver."""
+    mpmath = pytest.importorskip("mpmath")
+    seen = []
+    solve = schouten.eigenvalues
+
+    def recording(A, **kw):
+        seen.append(np.array(A))
+        return solve(A, **kw)
+
+    monkeypatch.setattr(schouten, "eigenvalues", recording)
+    for n in (3, 4, 5):
+        mobius.verify_reduction_identities(n, 4, seed=n)
+    monkeypatch.undo()
+    matrices = seen + list(_symmetric_draws(np.random.default_rng(5), 48))
+    for A in matrices:
+        with mpmath.workdps(50):
+            exact = mpmath.eigsy(mpmath.matrix(A.tolist()), eigvals_only=True)
+        exact = np.sort([float(e) for e in exact])[::-1]
+        err = float(np.abs(schouten.eigenvalues(A) - exact).max())
+        assert err <= 1e-13 * float(np.abs(A).max()), (A, err)
 
 
 def test_rank_one_spectrum():

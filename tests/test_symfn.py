@@ -293,6 +293,30 @@ def test_verify_axioms_flags_violations():
     assert not report["positivity"].passed
 
 
+def test_verify_axioms_fails_on_a_nan_violation(monkeypatch):
+    rng = np.random.default_rng(11)
+    samples = rng.lognormal(0.0, 0.4, size=(6, 3))
+    f = symfn.sigma_root(2, 3)
+    f = symfn.SymmetricCurvatureFunction(f.value, f.gradient, f.in_cone,
+                                         delta=1e-3)
+    assert symfn.verify_axioms(f, samples, rng=rng).passed
+    # LAPACK refuses a nan matrix; a solver that returns nan must fail too
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda H: np.full(len(H), math.nan))
+    nan_f = symfn.SymmetricCurvatureFunction(
+        value=lambda lam: math.nan,
+        gradient=lambda lam: np.full(lam.size, math.nan),
+        in_cone=f.in_cone, delta=1e-3)
+    report = symfn.verify_axioms(nan_f, samples, rng=rng)
+    names = {"symmetry", "positivity", "monotonicity", "concavity",
+             "homogeneity", "gradient_trace_bound"}
+    assert {c.name for c in report.checks} == names
+    for name in names:
+        assert not report[name].passed
+        assert report[name].max_violation == math.inf
+        assert np.array_equal(report[name].worst_sample, samples[0])
+
+
 def test_verify_axioms_rejects_exterior_samples():
     f = symfn.sigma_root(2, 3)
     with pytest.raises(ValueError):
