@@ -329,8 +329,9 @@ def _certified_breakdown(xi0, xi_t0, xi_t_last, n, k):
     resolved state close to it, the failure is ellipticity breakdown.
     Accepts arrays.
     """
-    return ((ode_invariant(xi0, xi_t0, n, k) < 0.0)
-            & (1.0 - xi_t_last ** 2 < 1e-4))
+    with np.errstate(all="ignore"):  # extreme seeds overflow the exps
+        return ((ode_invariant(xi0, xi_t0, n, k) < 0.0)
+                & (1.0 - xi_t_last ** 2 < 1e-4))
 
 
 # Dormand-Prince 5(4) (Dormand & Prince 1980, J. Comput. Appl. Math.
@@ -422,6 +423,47 @@ def _lane_start(y0, T, n, k, rtol, atol):
     with np.errstate(all="ignore"):
         f, _ = _lane_rhs(y0, k, th, beta)
         return f, _initial_step(y0, f, T, k, th, beta, rtol, atol)
+
+
+def _endpoint_start(x, v, T, n, k, rtol, atol):
+    """(a, h): xi_tt and the starting step of one seed, in Python floats.
+
+    :func:`_lane_start` on a one-lane array, bit for bit (see
+    :func:`integrate_endpoint`): the same expressions in the same order,
+    ``np.where`` selections as conditionals that treat nan alike, and
+    numpy's inf or nan where a float division would raise.
+    """
+    th = theta_constant(n, k)
+    beta = (n - 2.0 * k) / (2.0 * k)
+
+    def div(p, q):
+        return p / q if q else float(np.float64(p) / q)
+
+    def accel(x, v):  # the second row of _lane_rhs
+        if not abs(v) < 1e150:
+            v = 1e150
+        w = max(1.0 - v * v, 1e-30)
+        growth = float(np.exp(min(-2.0 * k * x, 700.0)))
+        return th * growth * float(np.asarray(w) ** (1 - k)) - beta * w
+
+    def rms(p, q):
+        return math.sqrt(p * p + q * q) / 2 ** 0.5
+
+    with np.errstate(all="ignore"):
+        a = accel(x, v)
+        sx, sv = atol + abs(x) * rtol, atol + abs(v) * rtol
+        d0, d1 = rms(div(x, sx), div(v, sv)), rms(div(v, sx), div(a, sv))
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = T if T < h0 else h0
+        x1, v1 = x + h0 * v, v + h0 * a
+        d2 = div(rms(div(v1 - v, sx), div(accel(x1, v1) - a, sv)), h0)
+        d12 = d2 if d2 > d1 else d1
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6
+        else:
+            h1 = float(np.asarray(div(0.01, d12)) ** (1 / 5))
+    h = h1 if h1 < 100 * h0 else 100 * h0
+    return a, T if T < h else h
 
 
 def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
@@ -516,8 +558,10 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
     return end, cause
 
 
-def _check_endpoint_args(y0, T):
-    if not np.all(1.0 - y0[1] ** 2 > ETA_GUARD):
+def _check_endpoint_args(xi_t0, T):
+    with np.errstate(over="ignore"):  # a huge slope squares to inf
+        admissible = np.all(1.0 - xi_t0 * xi_t0 > ETA_GUARD)
+    if not admissible:
         raise ValueError("initial state is not admissible")
     if not 0.0 < T < math.inf:
         raise ValueError("T must be positive and finite")
@@ -549,7 +593,7 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
     """
     shape = np.shape(xi0)
     y0 = np.array([np.ravel(xi0), np.ravel(xi_t0)], dtype=float)
-    _check_endpoint_args(y0, T)
+    _check_endpoint_args(y0[1], T)
     f, h = _lane_start(y0, T, n, k, rtol, atol)
     end, cause = _lane_loop(y0, np.zeros(y0.shape[1]), y0, f, h, T, n, k,
                             rtol, atol)
@@ -564,19 +608,25 @@ def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
     For a single seed, numpy's per-operation cost outweighs the step
     itself, so root refinement, which asks for one seed at a time, takes
     its steps here.  The contract is that of a lane: the same tableau,
-    controller, starting step (from ``_initial_step`` on a one-lane
-    array), nan-norm shrink, ten-ulp step failure and ellipticity test on
-    accepted steps, and nan for the state when the seed stops early.  The
-    two agree to rounding.
+    controller, starting step, nan-norm shrink, ten-ulp step failure and
+    ellipticity test on accepted steps, and nan for the state when the
+    seed stops early.  The two agree to rounding.
+
+    The starting step is a lane's bit for bit: :func:`_endpoint_start` is
+    the float twin of the lanes' start.  Three of its operations still go
+    through numpy, whose results the float ones do not reproduce: the
+    exponential (``math.exp`` is another implementation), the pole
+    ``w ** (1 - k)`` and the ``** (1 / 5)`` of the step size (numpy's
+    array power takes a reciprocal for exponent -1, and otherwise runs
+    its own loop, not libm's ``pow``).
 
     Returns (xi, xi_t, termination): floats and one of ``TERMINATIONS``.
     """
-    y0 = np.array([[xi0], [xi_t0]], dtype=float)
-    _check_endpoint_args(y0, T)
+    x0 = x = float(xi0)
+    v0 = v = float(xi_t0)
+    _check_endpoint_args(v, T)
     accel = _clamped_accel(n, k)
-    f, h = _lane_start(y0, T, n, k, rtol, atol)
-    h = float(h[0])
-    x, v, a = float(y0[0, 0]), float(y0[1, 0]), float(f[1, 0])
+    a, h = _endpoint_start(x, v, T, n, k, rtol, atol)
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _DP_A
     b1, _, b3, b4, b5, b6 = _DP_B
@@ -588,7 +638,7 @@ def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
         if not rejected and h < min_step:
             h = min_step
         if not h >= min_step:
-            if _certified_breakdown(y0[0, 0], y0[1, 0], v, n, k):
+            if _certified_breakdown(x0, v0, v, n, k):
                 return math.nan, math.nan, "ellipticity_breakdown"
             return math.nan, math.nan, "step_failure"
         t_new = min(t + h, T)

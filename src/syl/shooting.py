@@ -440,9 +440,12 @@ def solve_annulus(
     tol = (rtol, atol) if polish else (scan_rtol, scan_atol)
     fine = _make_residual(problem, *tol) if polish else coarse
     xtol = 1e-13 if polish else 1e-10
+    # brentq returns a point it has evaluated, so its residual is read
+    # back, not integrated again; only an exact grid zero is evaluated.
+    memo = {}
 
     def guarded(s):
-        v = fine(s)
+        v = memo[s] = fine(s)
         if math.isnan(v):
             raise _Gap(s)
         return v
@@ -454,7 +457,7 @@ def solve_annulus(
         except (_Gap, ValueError) as exc:
             diag.rejected.append(("refine_failed", a, b, repr(exc)))
             continue
-        res = fine(root)
+        res = memo[root] if root in memo else fine(root)
         if math.isnan(res) or (polish and abs(res) > residual_bound):
             diag.rejected.append(("residual_bound", root, res))
             continue

@@ -415,8 +415,10 @@ def verify_axioms(
         H = _numerical_hessian(f.value, s, f.in_cone, hessian_step)
         if H is None:
             skipped_hessians += 1
-        else:
+        elif np.isfinite(H).all():
             note("concavity", float(np.linalg.eigvalsh(H).max()), s)
+        else:  # LAPACK refuses a non-finite matrix; the check fails
+            note("concavity", math.inf, s)
 
         if f.homogeneous:
             t = float(rng.uniform(0.5, 2.0))

@@ -256,6 +256,11 @@ def test_integrate_no_longer_locates_a_rounding_cone_exit():
 def test_integrate_endpoint_input_validation():
     with pytest.raises(ValueError):
         radial.integrate_endpoint(0.0, 1.0, 1.0, 5, 2)  # inadmissible seed
+    for xi_t0 in (1e200, math.nan):  # refused without a RuntimeWarning
+        with pytest.raises(ValueError):
+            radial.integrate_endpoint(0.0, xi_t0, 1.0, 5, 2)
+        with pytest.raises(ValueError):
+            radial.integrate_lanes([0.0], [xi_t0], 1.0, 5, 2)
     with pytest.raises(ValueError):
         radial.integrate_endpoint(0.0, 0.0, -1.0, 5, 2)
     with pytest.raises(ValueError):
@@ -288,3 +293,42 @@ def test_integrate_does_not_warn_on_rejected_trial_steps():
                                          rtol=1e-7, atol=1e-9)
     assert causes == lanes.tolist()
     assert "ellipticity_breakdown" in causes and "reached_T" in causes
+
+
+_START_CLASSES = [(3, 1), (4, 2), (5, 2), (6, 3), (7, 2), (7, 3), (10, 4),
+                  (12, 12), (25, 12), (30, 14), (40, 14)]
+
+
+@pytest.mark.parametrize("rtol,atol", [(1e-7, 1e-9), (1e-10, 1e-12)])
+def test_float_start_equals_lane_start_bit_for_bit(rtol, atol):
+    # integrate_endpoint starts in Python floats; refinement keeps its
+    # bits only if that start is the lanes' start exactly.  math.exp, or
+    # Python's ** for the pole, would miss on some of these draws.
+    rng = np.random.default_rng(20261018)
+    Ts = [math.log(1.0001), 0.01, 0.1, 0.7, 2.0, 5.0]
+    for n, k in _START_CLASSES:
+        for T in Ts:
+            xs = np.concatenate([rng.uniform(-6.0, 6.0, 40),
+                                 rng.uniform(-400.0, 400.0, 10)])
+            vs = rng.uniform(-1.0, 1.0, 50) * (1.0 - 10.0 ** rng.uniform(
+                -12.0, 0.0, 50))
+            for x, v in zip(xs.tolist(), vs.tolist()):
+                f, h = radial._lane_start(np.array([[x], [v]]), T, n, k,
+                                          rtol, atol)
+                a, h1 = radial._endpoint_start(x, v, T, n, k, rtol, atol)
+                assert a.hex() == float(f[1, 0]).hex(), (n, k, T, x, v)
+                assert h1.hex() == float(h[0]).hex(), (n, k, T, x, v)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed,n,k", [((-200.0, 0.0), 5, 2),
+                                      ((-360.0, 0.5), 7, 3)])
+def test_extreme_seeds_end_quietly_as_a_lane_ends_them(seed, n, k):
+    # The exponentials of these seeds overflow: the float start must take
+    # numpy's inf and nan, and certifying the breakdown must not warn.
+    xi, xi_t, (cause,) = radial.integrate_lanes(*([v] for v in seed), 1.0,
+                                                n, k)
+    got = radial.integrate_endpoint(*seed, 1.0, n, k)
+    assert got[2] == cause == "step_failure"
+    assert math.isnan(got[0]) and math.isnan(got[1])
+    assert np.isnan(xi).all() and np.isnan(xi_t).all()

@@ -274,6 +274,42 @@ def test_solution_trajectories_are_integrated_once_when_read(monkeypatch,
     assert sol.trajectory is traj and len(calls) == 1
 
 
+@pytest.mark.parametrize("n,k,R,c1,c2", [(5, 2, 40.0, 0.0, 0.0),
+                                         (7, 2, 40.0, 0.0, 0.0),
+                                         (7, 3, 6.0, 1.5, 0.0)])
+def test_refined_roots_are_not_integrated_again(monkeypatch, n, k, R, c1, c2):
+    # brentq returns a point it has evaluated, so only an exact grid zero
+    # is integrated outside it; the residual it read stays the residual.
+    inside, outside = [], []
+
+    def counting(*args, **kwargs):
+        (inside if in_brentq else outside).append(args)
+        return radial.integrate_endpoint(*args, **kwargs)
+
+    def tracked(*args, **kwargs):
+        nonlocal in_brentq
+        in_brentq = True
+        try:
+            return brentq(*args, **kwargs)
+        finally:
+            in_brentq = False
+
+    in_brentq, brentq = False, shooting.brentq
+    monkeypatch.setattr(shooting, "integrate_endpoint", counting)
+    monkeypatch.setattr(shooting, "brentq", tracked)
+    problem = AnnulusProblem(n, k, R, c1, c2)
+    result = shooting.solve_annulus(problem)
+    assert result.status == "ok" and inside
+    exact = sum(1 for a, b in result.diagnostics.brackets if a == b)
+    assert len(outside) == exact
+    for sol in result:
+        xi, xi_t, _ = radial.integrate_endpoint(sol.xi0, sol.xi_t0, problem.T,
+                                                n, k)
+        fresh = radial.outer_bc_residual(radial.RadialState(problem.T, xi,
+                                                            xi_t), c2, R)
+        assert sol.residual.hex() == fresh.hex()
+
+
 # ------------------------------------------------------------ the seed fan
 
 

@@ -293,16 +293,13 @@ def test_verify_axioms_flags_violations():
     assert not report["positivity"].passed
 
 
-def test_verify_axioms_fails_on_a_nan_violation(monkeypatch):
+def test_verify_axioms_fails_on_a_nan_violation():
     rng = np.random.default_rng(11)
     samples = rng.lognormal(0.0, 0.4, size=(6, 3))
     f = symfn.sigma_root(2, 3)
     f = symfn.SymmetricCurvatureFunction(f.value, f.gradient, f.in_cone,
                                          delta=1e-3)
     assert symfn.verify_axioms(f, samples, rng=rng).passed
-    # LAPACK refuses a nan matrix; a solver that returns nan must fail too
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda H: np.full(len(H), math.nan))
     nan_f = symfn.SymmetricCurvatureFunction(
         value=lambda lam: math.nan,
         gradient=lambda lam: np.full(lam.size, math.nan),
@@ -315,6 +312,26 @@ def test_verify_axioms_fails_on_a_nan_violation(monkeypatch):
         assert not report[name].passed
         assert report[name].max_violation == math.inf
         assert np.array_equal(report[name].worst_sample, samples[0])
+
+
+def test_verify_axioms_reports_a_nan_hessian_as_failed_concavity():
+    # LAPACK's eigvalsh refuses a nan matrix: that must read as a failed
+    # check, not raise LinAlgError out of verify_axioms.
+    f = symfn.sigma_root(2, 4)
+    calls = 0
+
+    def value(lam):
+        nonlocal calls
+        calls += 1
+        return f.value(lam) if calls <= 3 else math.nan
+
+    samples = np.random.default_rng(3).lognormal(0.0, 0.3, size=(2, 4))
+    report = symfn.verify_axioms(
+        symfn.SymmetricCurvatureFunction(value, f.gradient, f.in_cone),
+        samples)
+    assert not report["concavity"].passed
+    assert report["concavity"].max_violation == math.inf
+    assert np.array_equal(report["concavity"].worst_sample, samples[0])
 
 
 def test_verify_axioms_rejects_exterior_samples():
