@@ -84,6 +84,15 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return out
 
 
+def _floats(value) -> list:
+    """A comma-separated string, a JSON list or one number, as floats."""
+    if isinstance(value, str):
+        return [float(tok) for tok in value.split(",") if tok.strip()]
+    if isinstance(value, (list, tuple)):
+        return [float(v) for v in value]
+    return [float(value)]
+
+
 # ----------------------------------------------------------------------
 # Subcommand handlers.  Each returns (payload, exit_code).
 
@@ -142,12 +151,7 @@ def _cmd_rstar(args):
 
 
 def _cmd_counterexample(args):
-    if isinstance(args.eps, str):
-        eps_values = [float(tok) for tok in args.eps.split(",") if tok.strip()]
-    elif isinstance(args.eps, (list, tuple)):
-        eps_values = [float(e) for e in args.eps]
-    else:
-        eps_values = [float(args.eps)]
+    eps_values = _floats(args.eps)
     sweep = shooting.counterexample_sweep(
         int(args.n), int(args.k), float(args.c), float(args.delta),
         eps_values)
@@ -184,8 +188,7 @@ def _cmd_cylinder(args):
 
 
 def _cmd_cone_check(args):
-    lam = np.array([float(tok) for tok in str(args.lam).split(",")
-                    if tok.strip()])
+    lam = np.array(_floats(args.lam))
     k = int(args.k)
     if not 1 <= k <= lam.size:
         raise _CliError(f"k={k} out of range for a length-{lam.size} vector")
@@ -249,11 +252,10 @@ def _verify_radial(count: int, tol: float, seed: int) -> dict:
             xi0 = xi_c + rng.uniform(-0.6, 0.6)
             v0 = rng.uniform(-0.5, 0.5)
             traj = radial.integrate((xi0, v0), 2.5, n, k)
-            pts = traj.sample(40)
-            E = radial.ode_invariant(pts[:, 1], pts[:, 2], n, k)
+            profile = radial.reconstruct(traj, num=40)
+            E = radial.ode_invariant(profile.xi, profile.xi_t, n, k)
             E0 = radial.ode_invariant(xi0, v0, n, k)
             drift_max = max(drift_max, float(np.abs(E - E0).max()))
-            profile = radial.reconstruct(traj, num=40)
             # The last dense-output sample of a breakdown run sits at the
             # ellipticity guard, where interpolation noise in xi_t is
             # amplified by the 1/w pole; judge sigma_k away from it.

@@ -269,6 +269,9 @@ def moving_sphere_radius(
     If every radius up to ``lam_max`` (default: the cloud's outer radius)
     passes, the result is ``range_limited`` at ``lam_max``.
     """
+    if not 0.0 < bisect_tol < math.inf:
+        raise ValueError(f"bisect_tol must be positive and finite, "
+                         f"got {bisect_tol!r}")
     x = _vec(x)
     Y = np.asarray(cloud, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != x.size:
@@ -312,6 +315,8 @@ def moving_sphere_radius(
                 raise ValueError("no passing radius found above zero")
     while hi - lo > bisect_tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the bracket is two adjacent floats
         if passes(mid):
             lo = mid
         else:
@@ -635,6 +640,26 @@ def verify_reduction_identities(n: int = 4, count: int = 1000, *,
             report.max_violation[name] = float(violation)
             report.worst_index[name] = idx
 
+    def push(name, idx, word, fld, data, s, p):
+        """Push ``data`` through ``word`` and note the spectrum gap of
+        (transformed value and gradient, original geometry) against
+        (s, p, transformed geometry); returns the transformed jet."""
+        out = transform_boundary_data(MobiusMap(word), fld, data)
+        note(name, _spectrum_gap(out.s, out.p, data.nu, data.H, s, p, out.nu,
+                                 out.H, n), idx)
+        return out
+
+    def invert_along(name, idx, data, unit, along):
+        """Push ``data`` through the inversion fixing x whose center sits
+        along ``unit`` at signed distance (n-2)s/along; returns the
+        transformed gradient."""
+        lam = -(n - 2.0) * data.s / along
+        return push(name, idx, [Inversion(data.x - lam * unit, abs(lam))],
+                    affine_field(data.x, data.s, data.p), data, data.s,
+                    data.p).p
+
+    e1 = np.zeros(n)
+    e1[0] = 1.0
     for idx in range(count):
         x = rng.normal(size=n)
         s = float(np.exp(rng.normal(scale=0.5)))
@@ -647,71 +672,42 @@ def verify_reduction_identities(n: int = 4, count: int = 1000, *,
 
         # --- translate the base point (unit Jacobian everywhere).
         v = rng.normal(size=n)
-        psi = MobiusMap([Translation(v)])
-        fld = affine_field(x + v, s, p)
-        out = transform_boundary_data(psi, fld, data)
-        note("translate_base",
-             _spectrum_gap(out.s, out.p, nu, H, s, p, out.nu, out.H, n), idx)
+        push("translate_base", idx, [Translation(v)],
+             affine_field(x + v, s, p), data, s, p)
 
         # --- kill the normal gradient component: inversion fixing x whose
         # center sits along the normal at signed distance (n-2)s/(p.nu).
-        pn = float(p @ nu)
-        if abs(pn) < 1e-3:
-            p_adj = p + 0.5 * nu
-            data_adj = BoundaryData(x, s, p_adj, nu, H)
-            pn = float(p_adj @ nu)
+        if abs(float(p @ nu)) < 1e-3:
+            adj = BoundaryData(x, s, p + 0.5 * nu, nu, H)
         else:
-            p_adj, data_adj = p, data
-        lam = -(n - 2.0) * s / pn
-        inv = MobiusMap([Inversion(x - lam * nu, abs(lam))])
-        fld = affine_field(x, s, p_adj)
-        out = transform_boundary_data(inv, fld, data_adj)
-        note("kill_normal_gradient",
-             _spectrum_gap(out.s, out.p, nu, H, s, p_adj, out.nu, out.H, n),
-             idx)
+            adj = data
+        pn = float(adj.p @ nu)
+        p_out = invert_along("kill_normal_gradient", idx, adj, nu, pn)
         # The transformed gradient must be the tangential projection.
         note("kill_normal_gradient",
-             float(np.abs(out.p - (p_adj - pn * nu)).max()), idx)
+             float(np.abs(p_out - (adj.p - pn * nu)).max()), idx)
 
         # --- kill the whole gradient: same mechanism aligned with p.
-        pmag = float(np.linalg.norm(p))
-        if pmag < 1e-3:
-            p_adj = p.copy()
-            p_adj[0] += 0.5
-            data_adj = BoundaryData(x, s, p_adj, nu, H)
-            pmag = float(np.linalg.norm(p_adj))
+        if float(np.linalg.norm(p)) < 1e-3:
+            adj = BoundaryData(x, s, p + 0.5 * e1, nu, H)
         else:
-            p_adj, data_adj = p, data
-        phat = p_adj / pmag
-        lam = -(n - 2.0) * s / pmag
-        inv = MobiusMap([Inversion(x - lam * phat, abs(lam))])
-        fld = affine_field(x, s, p_adj)
-        out = transform_boundary_data(inv, fld, data_adj)
-        note("kill_full_gradient",
-             _spectrum_gap(out.s, out.p, nu, H, s, p_adj, out.nu, out.H, n),
-             idx)
-        note("kill_full_gradient", float(np.abs(out.p).max()), idx)
+            adj = data
+        pmag = float(np.linalg.norm(adj.p))
+        p_out = invert_along("kill_full_gradient", idx, adj, adj.p / pmag,
+                             pmag)
+        note("kill_full_gradient", float(np.abs(p_out).max()), idx)
 
         # --- normalize the value to one via a dilation of the constant field.
-        psi = MobiusMap([Dilation(s ** (2.0 / (n - 2.0)))])
-        fld = constant_field(n)
-        out = transform_boundary_data(psi, fld, data)
-        note("normalize_value",
-             _spectrum_gap(out.s, out.p, nu, H, 1.0, np.zeros(n), out.nu,
-                           out.H, n), idx)
+        out = push("normalize_value", idx, [Dilation(s ** (2.0 / (n - 2.0)))],
+                   constant_field(n), data, 1.0, np.zeros(n))
         note("normalize_value", abs(out.s - s), idx)
 
         # --- rotate the normal onto the first coordinate axis.  The image
         # field carries the original gradient, so the left slots see its
         # pullback O^T p while the right slots rotate the normal.
         O = _householder_to_axis(nu)
-        psi = MobiusMap([Orthogonal(O)])
-        fld = affine_field(O @ x, s, p)
-        out = transform_boundary_data(psi, fld, data)
-        note("rotate_normal",
-             _spectrum_gap(out.s, out.p, nu, H, s, p, out.nu, out.H, n), idx)
-        e1 = np.zeros(n)
-        e1[0] = 1.0
+        out = push("rotate_normal", idx, [Orthogonal(O)],
+                   affine_field(O @ x, s, p), data, s, p)
         note("rotate_normal", float(np.abs(out.nu - e1).max()), idx)
 
         # --- composition consistency: an off-center inversion must equal

@@ -490,6 +490,39 @@ def _check_positive(**values):
                              f"got {value!r}")
 
 
+def _prober(n, k, c1, c2, scan, scan_rtol, scan_atol):
+    """R -> the polish-free solve at outer radius R, for a radius search.
+
+    The scan grid is integrated once, as a :class:`_SeedFan`, and every
+    probe reads its residuals from it.
+    """
+    fan = _SeedFan(scan.grid, n, k, c1, scan_rtol, scan_atol)
+
+    def probe(R: float) -> ShootingResult:
+        return solve_annulus(AnnulusProblem(n, k, R, c1, c2), scan=scan,
+                             scan_rtol=scan_rtol, scan_atol=scan_atol,
+                             polish=False, _fan=fan)
+    return probe
+
+
+def _bisect(upper, lo, hi, width):
+    """Halve [lo, hi] on the predicate ``upper`` (true on hi's side) while
+    hi - lo > width(lo); return the final (lo, hi)."""
+    while hi - lo > width(lo):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the bracket is two adjacent floats
+        if upper(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+class _Inconclusive(Exception):
+    """Raised when a radius probe's scan has a disqualifying gap."""
+
+
 @dataclass(frozen=True)
 class RStarResult:
     """Outcome of the threshold-radius search."""
@@ -532,8 +565,7 @@ def find_r_star(
     expectation), ``unresolved`` (unsolvable all the way up to ``R_max``),
     ``inconclusive`` (a probe scan had a disqualifying interior gap).
 
-    The scan grid is integrated once, as a :class:`_SeedFan`, and every
-    probe reads its residuals from it.
+    Every probe reads the scan from one :class:`_SeedFan`.
     """
     if not c1 + c2 < 0.0:
         raise ValueError("threshold search needs c1 + c2 < 0")
@@ -550,83 +582,45 @@ def find_r_star(
                          f"probes to reach R_max, over {MAX_GROWTH_PROBES}")
     if scan is None:
         scan = default_scan(n, k)
-    fan = _SeedFan(scan.grid, n, k, c1, scan_rtol, scan_atol)
-
+    probe = _prober(n, k, c1, c2, scan, scan_rtol, scan_atol)
     history = []
 
-    def solvable(R: float) -> bool | None:
-        result = solve_annulus(
-            AnnulusProblem(n, k, R, c1, c2), scan=scan,
-            scan_rtol=scan_rtol, scan_atol=scan_atol, polish=False,
-            _fan=fan)
+    def solvable(R: float) -> bool:
+        result = probe(R)
         history.append((R, result.status, len(result.solutions)))
         if result.status == "inconclusive":
-            return None
+            raise _Inconclusive
         return result.status == "ok"
 
-    def finish(status, r_star=None, bracket=None):
-        return RStarResult(n, k, c1, c2, status, r_star, bracket,
-                           tuple(history))
-
-    verdict = solvable(r_init)
-    if verdict is None:
-        return finish("inconclusive")
-
-    if verdict:
-        # Solvable immediately: walk down toward R = 1 looking for the
-        # unsolvable side of the bracket.
-        hi = r_init
-        gap = (r_init - 1.0) / 4.0
-        lo = None
-        while gap >= shrink_limit:
-            R = 1.0 + gap
-            v = solvable(R)
-            if v is None:
-                return finish("inconclusive")
-            if v:
-                hi = R
-                gap /= 4.0
-            else:
-                lo = R
-                break
-        if lo is None:
-            return finish("anomaly")
-    else:
-        lo = r_init
-        hi = None
-        gap = (r_init - 1.0) * growth
-        while 1.0 + gap <= R_max:
-            R = 1.0 + gap
-            v = solvable(R)
-            if v is None:
-                return finish("inconclusive")
-            if v:
-                hi = R
-                break
-            lo = R
-            gap *= growth
-        if hi is None:
-            if history[-1][0] < R_max:
-                v = solvable(R_max)
-                if v is None:
-                    return finish("inconclusive")
-                if v:
-                    hi = R_max
-            if hi is None:
-                return finish("unresolved")
-
-    while hi - lo > rel_tol * lo:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # the bracket is two adjacent floats
-        v = solvable(mid)
-        if v is None:
-            return finish("inconclusive")
-        if v:
-            hi = mid
+    def search():
+        """(status, bracket), probing through ``solvable``."""
+        if solvable(r_init):
+            # Solvable immediately: walk down toward R = 1 looking for the
+            # unsolvable side of the bracket.
+            hi, gap = r_init, (r_init - 1.0) / 4.0
+            while gap >= shrink_limit and solvable(1.0 + gap):
+                hi, gap = 1.0 + gap, gap / 4.0
+            if gap < shrink_limit:
+                return "anomaly", None
+            lo = 1.0 + gap
         else:
-            lo = mid
-    return finish("ok", r_star=0.5 * (lo + hi), bracket=(lo, hi))
+            lo, gap = r_init, (r_init - 1.0) * growth
+            while 1.0 + gap <= R_max and not solvable(1.0 + gap):
+                lo, gap = 1.0 + gap, gap * growth
+            if 1.0 + gap <= R_max:
+                hi = 1.0 + gap
+            elif history[-1][0] < R_max and solvable(R_max):
+                hi = R_max
+            else:
+                return "unresolved", None
+        return "ok", _bisect(solvable, lo, hi, lambda lo: rel_tol * lo)
+
+    try:
+        status, bracket = search()
+    except _Inconclusive:
+        status, bracket = "inconclusive", None
+    r_star = None if bracket is None else 0.5 * (bracket[0] + bracket[1])
+    return RStarResult(n, k, c1, c2, status, r_star, bracket, tuple(history))
 
 
 @dataclass(frozen=True)
@@ -657,8 +651,7 @@ def verify_bifurcation(
     counts shooting solutions as the outer radius varies; bisects the
     interval [(1-span) thr, (1+span) thr] on the predicate "more than one
     branch" and compares the located transition with the closed form.
-    The scan grid is integrated once, as a :class:`_SeedFan`, and every
-    probe reads its residuals from it.
+    Every probe reads the scan from one :class:`_SeedFan`.
     """
     if not window > 0.0:
         raise ValueError(f"window must be positive, got {window!r}")
@@ -667,31 +660,20 @@ def verify_bifurcation(
     _check_positive(rel_tol=rel_tol)
     thr = bifurcation_threshold(n, k)
     xi_c = cylinder_solution(n, k)[0]
-    scan = ScanSpec(xi_c - window, xi_c + window, num)
-    fan = _SeedFan(scan.grid, n, k, 0.0, scan_rtol, scan_atol)
-
+    probe = _prober(n, k, 0.0, 0.0, ScanSpec(xi_c - window, xi_c + window,
+                                             num), scan_rtol, scan_atol)
     history = []
 
     def count(R: float) -> int:
-        result = solve_annulus(
-            AnnulusProblem(n, k, R, 0.0, 0.0), scan=scan,
-            scan_rtol=scan_rtol, scan_atol=scan_atol, polish=False,
-            _fan=fan)
-        history.append((R, len(result.solutions)))
-        return len(result.solutions)
+        m = len(probe(R).solutions)
+        history.append((R, m))
+        return m
 
     lo, hi = (1.0 - span) * thr, (1.0 + span) * thr
     if not (count(lo) <= 1 < count(hi)):
         return BifurcationResult(n, k, thr, None, None, "failed",
                                  tuple(history))
-    while hi - lo > rel_tol * thr:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # the bracket is two adjacent floats
-        if count(mid) > 1:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(lambda R: count(R) > 1, lo, hi, lambda lo: rel_tol * thr)
     located = 0.5 * (lo + hi)
     return BifurcationResult(n, k, thr, located, abs(located - thr) / thr,
                              "ok", tuple(history))

@@ -262,6 +262,23 @@ def test_config_file_accepts_hyphenated_keys(capsys, tmp_path):
     assert doc["config"]["scan_num"] == 101
 
 
+@pytest.mark.parametrize("command, key, flag", [
+    (["cone-check", "--k", "2"], "lam", "--lam=-0.5,0.5,0.5"),
+    (["counterexample", "--n", "5", "--k", "2", "--c", "-1.0",
+      "--delta", "0.05"], "eps", "--eps=0.001,0.01"),
+])
+def test_config_float_lists_read_as_their_flags(capsys, tmp_path, command,
+                                                key, flag):
+    # A JSON list in the config gives what the comma-separated flag gives.
+    _, flagged = _run_json(capsys, command + [flag])
+    cfg = tmp_path / "run.json"
+    values = [float(v) for v in flag.split("=")[1].split(",")]
+    cfg.write_text(json.dumps({key: values}))
+    code, doc = _run_json(capsys, command + ["--config", str(cfg)])
+    assert code == 0
+    assert doc == flagged
+
+
 # -------------------------------------------------------------- artifacts
 
 

@@ -251,6 +251,29 @@ def test_moving_sphere_radius_validates_cloud():
         mobius.moving_sphere_radius(b.u, np.zeros(n), np.zeros((3, n)), n=n)
 
 
+@pytest.mark.parametrize("bisect_tol", [0.0, -1e-6, math.nan, math.inf])
+def test_moving_sphere_radius_refuses_a_degenerate_bisect_tol(bisect_tol):
+    n = 4
+    b = schouten.Bubble(n)
+    cloud = np.random.default_rng(3).normal(size=(50, n))
+    with pytest.raises(ValueError, match="bisect_tol"):
+        mobius.moving_sphere_radius(b.u, np.zeros(n), cloud, n=n,
+                                    bisect_tol=bisect_tol)
+
+
+def test_moving_sphere_bisection_stops_at_adjacent_floats():
+    # A tolerance below the float spacing of the radius ends with an
+    # adjacent-float bracket instead of probing its midpoint forever.
+    n, a = 4, 1.3
+    b = schouten.Bubble(n, a, np.zeros(n), 1.0)
+    cloud = np.random.default_rng(7).normal(size=(200, n)) * 1.5
+    res = mobius.moving_sphere_radius(b.u, np.zeros(n), cloud, n=n,
+                                      bisect_tol=1e-300)
+    lo, hi = res.bracket
+    assert res.status == "bracketed" and hi == np.nextafter(lo, 1.0)
+    assert abs(res.lam_bar - 1.0 / a) < 1e-6
+
+
 def test_gradient_bound_holds_inside_the_critical_sphere():
     n = 5
     b = schouten.Bubble(n)  # a = 1, critical radius 1

@@ -573,6 +573,28 @@ def test_find_r_star_reports_disqualified_probes(monkeypatch):
     assert result.status == "inconclusive"
     assert result.r_star is None and result.bracket is None
 
+
+@pytest.mark.parametrize("decide, R_max, last", [
+    # walk-down from a solvable r_init = 1.01: its first probe is 1.0025
+    (lambda R: None if R < 1.005 else True, 64.0, 1.0025),
+    # growth march: 1.02 is unsolvable, 1.04 disqualified
+    (lambda R: None if R > 1.03 else False, 64.0, 1.04),
+    # the march ends at 41.96, so R_max is probed on its own
+    (lambda R: None if R == 50.0 else False, 50.0, 50.0),
+    # bisection of (1.32, 1.64): 1.48 and 1.40 are solvable, 1.36 is not
+    (lambda R: None if 1.33 < R < 1.37 else R >= 1.37, 64.0, 1.36),
+])
+def test_find_r_star_stops_at_a_disqualified_probe_in_every_phase(
+        monkeypatch, decide, R_max, last):
+    monkeypatch.setattr(shooting, "solve_annulus", _fake_solver(decide))
+    result = shooting.find_r_star(5, 2, -0.3, 0.0, R_max=R_max)
+    assert result.status == "inconclusive"
+    assert result.r_star is None and result.bracket is None
+    assert result.history[-1] == (pytest.approx(last), "inconclusive", 0)
+    assert all(entry[1] != "inconclusive" for entry in result.history[:-1])
+    assert len(result.history) > 1
+
+
 @pytest.mark.parametrize("kwargs", [
     {"rel_tol": 0.0}, {"rel_tol": -1e-4}, {"rel_tol": math.nan},
     {"rel_tol": math.inf}, {"shrink_limit": 0.0},
