@@ -10,6 +10,7 @@ the module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,6 +71,14 @@ def schouten_matrix(sample: ConformalFactorSample) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=None)
+def _lower_triangle(n: int) -> np.ndarray:
+    """Boolean n x n mask of the entries on and below the diagonal."""
+    mask = np.tri(n, dtype=bool)
+    mask.flags.writeable = False  # one array serves every caller
+    return mask
+
+
 def eigenvalues(A: np.ndarray, *, sym_tol: float = 1e-9) -> np.ndarray:
     """Spectrum of a small dense symmetric matrix, sorted non-increasing.
 
@@ -79,8 +88,10 @@ def eigenvalues(A: np.ndarray, *, sym_tol: float = 1e-9) -> np.ndarray:
     held as lists of Python floats: every product and difference rounds
     as the same numpy array operation would, without numpy's per-call
     cost on rows this short.  The off-diagonal norm that ends the sweeps
-    stays a numpy sum, because numpy's pairwise summation order is not a
-    left-to-right float loop's.  Non-finite entries are refused.
+    stays a numpy sum of ``np.triu(a, 1) ** 2``, because numpy's pairwise
+    summation order is not a left-to-right float loop's; the triangle is
+    cut by a mask kept per n rather than rebuilt every sweep.  Non-finite
+    entries are refused.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -92,9 +103,11 @@ def eigenvalues(A: np.ndarray, *, sym_tol: float = 1e-9) -> np.ndarray:
         raise ValueError("matrix must be symmetric")
     a = (0.5 * (A + A.T)).tolist()
     n = len(a)
+    lower = _lower_triangle(n)
 
     for _ in range(60):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(np.array(a), 1) ** 2)))
+        upper = np.where(lower, 0.0, np.array(a))
+        off = math.sqrt(2.0 * float(np.sum(upper ** 2)))
         if off <= 1e-15 * scale:
             break
         for p in range(n - 1):

@@ -45,22 +45,60 @@ def _as_vector(lam) -> np.ndarray:
     return lam
 
 
+def _power_sum(xs: list) -> float:
+    """Sum of the floats ``xs``, rounded as ``np.add.reduce`` rounds it.
+
+    Below 8 terms numpy adds left to right from 0.0, and so does this loop
+    (builtin ``sum`` is compensated from Python 3.12 on, ``math.fsum`` is
+    exact).  From 8 terms numpy's pairwise blocks take over, so numpy
+    itself is called."""
+    if len(xs) >= 8:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.add.reduce(xs))
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def _elementary(lam: np.ndarray, k: int):
     """Yield e_0..e_k of ``lam`` (of each row when 2-D) by Newton's
     identities, m*e_m = sum_{j=1..m} (-1)^(j-1) e_(m-j) p_j on the power
     sums p_j.  The power sum p_m is formed only when e_m is asked for,
-    and each e_m is the same float whatever k is."""
-    e = [1.0 if lam.ndim == 1 else np.ones(len(lam))]
+    and each e_m is the same float whatever k is.
+
+    A vector runs on Python floats, without numpy's per-call cost on its
+    few entries: each product rounds as numpy's does and each power sum
+    as ``np.add.reduce`` does (see ``_power_sum``), so a vector's e_m is
+    its row's bit for bit.  Python floats overflow to inf and nan
+    silently; rows do so only under an ``np.errstate``."""
+    rows = lam.ndim == 2
+    x = lam if rows else lam.tolist()
+    e = [np.ones(len(lam)) if rows else 1.0]
     yield e[0]
-    p, powers = [], 1.0
+    p, powers = [], 1.0 if rows else [1.0] * len(x)
     for m in range(1, k + 1):
-        powers = powers * lam
-        p.append(np.add.reduce(powers, axis=-1))
+        if rows:
+            powers = powers * lam
+            p.append(np.add.reduce(powers, axis=-1))
+        else:
+            powers = [a * b for a, b in zip(powers, x)]
+            p.append(_power_sum(powers))
         acc = 0.0
         for j in range(1, m + 1):
             acc += (1.0 if j % 2 else -1.0) * e[m - j] * p[j - 1]
         e.append(acc / m)
         yield e[m]
+
+
+def _last(lam: np.ndarray, k: int):
+    """e_k of ``lam`` (of each row when 2-D), overflowing quietly."""
+    if lam.ndim == 1:
+        *_, e_k = _elementary(lam, k)
+        return e_k
+    with np.errstate(over="ignore", invalid="ignore"):
+        *_, e_k = _elementary(lam, k)
+    return e_k
 
 
 def sigma_k(lam, k: int):
@@ -79,8 +117,7 @@ def sigma_k(lam, k: int):
     n = lam.shape[-1]
     if not 0 <= k <= n:
         raise ValueError(f"order k={k} out of range for n={n}")
-    *_, e_k = _elementary(lam, k)
-    return float(e_k) if lam.ndim == 1 else e_k
+    return _last(lam, k)
 
 
 def sigma_k_bruteforce(lam, k: int) -> float:
@@ -100,18 +137,17 @@ def sigma_k_gradient(lam, k: int) -> np.ndarray:
         raise ValueError(f"order k={k} out of range for n={n}")
     # Row i is lam without entry i, as np.delete(lam, i) gives it.
     rest = np.broadcast_to(lam, (n, n))[~np.eye(n, dtype=bool)]
-    return list(_elementary(rest.reshape(n, n - 1), k - 1))[-1]
+    return _last(rest.reshape(n, n - 1), k - 1)
 
 
 def _cone_signs(lam: np.ndarray, k: int):
     """True when e_1..e_k are all positive, False at the first negative
     one, None at the first that is zero or non-finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for e in itertools.islice(_elementary(lam, k), 1, None):
-            if not 0.0 < abs(e) < math.inf:
-                return None
-            if e < 0.0:
-                return False
+    for e in itertools.islice(_elementary(lam, k), 1, None):
+        if not 0.0 < abs(e) < math.inf:
+            return None
+        if e < 0.0:
+            return False
     return True
 
 
@@ -125,6 +161,11 @@ def in_gamma_k(lam, k: int) -> bool:
     lam = _as_vector(lam)
     if not 1 <= k <= lam.size:
         raise ValueError(f"order k={k} out of range for n={lam.size}")
+    return _in_cone(lam, k)
+
+
+def _in_cone(lam: np.ndarray, k: int) -> bool:
+    """``in_gamma_k`` on a vector already converted and checked."""
     verdict = _cone_signs(lam, k)
     if verdict is None:
         lam = np.ldexp(lam, -np.frexp(np.abs(lam).max())[1])
@@ -149,7 +190,7 @@ class ConeSpec:
         lam = _as_vector(lam)
         if lam.size != self.n:
             raise ValueError(f"expected dimension {self.n}, got {lam.size}")
-        return in_gamma_k(lam, self.k)
+        return _in_cone(lam, self.k)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ def test_sigma_k_matches_bruteforce(n, k):
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("n,k", [(3, 0), (3, 1), (5, 2), (8, 5), (12, 7)])
+@pytest.mark.parametrize("n,k", [(3, 0), (3, 1), (5, 2), (8, 5), (12, 7),
+                                 (16, 9)])
 def test_sigma_k_of_rows_rounds_as_each_row_alone(n, k):
     rows = np.random.default_rng(n * 10 + k).normal(0.0, 2.0, size=(30, n))
     batched = symfn.sigma_k(rows, k)
@@ -26,6 +27,59 @@ def test_sigma_k_of_rows_rounds_as_each_row_alone(n, k):
     assert batched.tolist() == [symfn.sigma_k(row, k) for row in rows]
     with pytest.raises(ValueError):
         symfn.sigma_k(rows[None], k)
+
+
+def _rows_cone_test(v, k):
+    """in_gamma_k's rule (sign of each e_l, one exact power-of-two rescale
+    after a zero or non-finite e_l) computed on numpy rows."""
+    def signs(w):
+        for l in range(1, k + 1):
+            e = symfn.sigma_k(w[None], l)[0]
+            if not 0.0 < abs(e) < math.inf:
+                return None
+            if e < 0.0:
+                return False
+        return True
+
+    verdict = signs(v)
+    if verdict is None:
+        verdict = bool(signs(np.ldexp(v, -np.frexp(np.abs(v).max())[1])))
+    return verdict
+
+
+def test_vector_sigma_k_rounds_as_its_row_bit_for_bit():
+    # The vector path runs on Python floats; the row path is numpy's.
+    # Comparing hex strings makes signed zeros and nan count.
+    rng = np.random.default_rng(20261018)
+    for n in range(1, 21):
+        for _ in range(12):
+            v = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(
+                -150.0, 150.0, size=n)
+            if rng.random() < 0.3:
+                v[rng.random(n) < 0.3] = rng.choice([0.0, -0.0])
+            if rng.random() < 0.15:
+                v[rng.integers(n)] = rng.choice([math.inf, -math.inf, math.nan])
+            if rng.random() < 0.3:  # unit scale, where cancellation shows
+                v = np.where(np.isfinite(v), rng.normal(size=n), v)
+            for k in range(n + 1):
+                alone = symfn.sigma_k(v, k)
+                assert type(alone) is float
+                assert alone.hex() == float(symfn.sigma_k(v[None], k)[0]).hex()
+            for k in range(1, n + 1):
+                assert symfn.in_gamma_k(v, k) == _rows_cone_test(v, k)
+
+
+def test_sigma_k_overflows_quietly_as_vector_and_as_row():
+    # p_2 overflows to inf and e_2 = (p_1^2 - p_2)/2 meets inf - inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v, want in (([1e200, 1e200], math.nan),
+                        ([1e200, -1e200], -math.inf)):
+            v = np.array(v)
+            row = float(symfn.sigma_k(v[None], 2)[0])
+            assert symfn.sigma_k(v, 2).hex() == row.hex() == want.hex()
+        grad = symfn.sigma_k_gradient(np.array([1e200, 1e200, 1.0]), 3)
+    assert np.isnan(grad).all()
 
 
 def test_sigma_k_edge_orders():
@@ -120,8 +174,12 @@ def test_cone_spec_validation():
         symfn.ConeSpec(6, 5)
     with pytest.raises(ValueError):
         symfn.ConeSpec(1, 2)
-    with pytest.raises(ValueError):
+    assert spec.contains([1.0, 1.0, 1.0, 1.0, -0.5])
+    assert not spec.contains([1.0, 1.0, 1.0, 1.0, -3.0])
+    with pytest.raises(ValueError, match="expected dimension 5, got 4"):
         spec.contains(np.ones(4))
+    with pytest.raises(ValueError, match="1-D and non-empty"):
+        spec.contains(np.ones((1, 5)))
 
 
 def test_gamma_nested_cones():
