@@ -37,8 +37,21 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _strict(value):
+    """``value`` with each non-finite float as None, which JSON prints as
+    ``null``: strict JSON has no NaN or Infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(payload: dict, out_dir: str | None) -> None:
-    doc = json.dumps(payload, sort_keys=True, indent=2)
+    doc = json.dumps(_strict(payload), sort_keys=True, indent=2,
+                     allow_nan=False)
     sys.stdout.write(doc + "\n")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

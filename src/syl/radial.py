@@ -19,11 +19,13 @@ Schouten eigenvalues.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import schouten, symfn
 
@@ -39,6 +41,8 @@ __all__ = [
     "ode_rhs",
     "ode_invariant",
     "integrate",
+    "solve_ivp",
+    "brentq",
     "integrate_lanes",
     "integrate_endpoint",
     "inner_bc_residual",
@@ -217,10 +221,12 @@ def integrate(
     """Integrate the radial ODE from t = 0 until T_max or a terminal event.
 
     ``initial`` is a RadialState or an (xi, xi_t) pair at t = 0 and must be
-    admissible.  The built-in terminal event is ellipticity breakdown
-    (1 - xi_t^2 falls to the guard).  ``extra_events`` are passed through
-    to the integrator (scipy event protocol) and, when terminal, produce
-    termination cause ``event:<index>``.
+    admissible, and T_max must be positive and finite.  The steps are
+    those of scipy 1.17.1's RK45 (see :func:`solve_ivp`).  The built-in
+    terminal event is ellipticity breakdown (1 - xi_t^2 falls to the
+    guard).  ``extra_events`` are passed through to :func:`solve_ivp`
+    (scipy's event protocol); each must be terminal, and stopping at one
+    gives termination cause ``event:<index>``.
 
     For k >= 2 the right-hand side has a pole on the degenerate set, so
     adaptive steps can underflow slightly before the guard event becomes
@@ -235,8 +241,8 @@ def integrate(
         y0 = (float(initial[0]), float(initial[1]))
     if not 1.0 - y0[1] ** 2 > ETA_GUARD:
         raise ValueError("initial state is not admissible")
-    if not T_max > 0.0:
-        raise ValueError("T_max must be positive")
+    if not 0.0 < T_max < math.inf:
+        raise ValueError("T_max must be positive and finite")
     accel = _clamped_accel(n, k)
 
     def rhs(t, y):
@@ -261,11 +267,10 @@ def integrate(
     events = [ellipticity]
     events.extend(extra_events)
 
-    # Rejected trial steps may still reach inf or nan inside scipy's
-    # stage sums; the controller rejects them, as it does for the lanes.
+    # Rejected trial steps may still reach inf or nan inside the stage
+    # sums; the controller rejects them, as it does for the lanes.
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (0.0, float(T_max)), y0, method="RK45",
-                        rtol=rtol, atol=atol, dense_output=True,
+        sol = solve_ivp(rhs, (0.0, float(T_max)), y0, rtol=rtol, atol=atol,
                         events=events)
 
     if sol.status == -1:
@@ -338,9 +343,9 @@ def _certified_breakdown(xi0, xi_t0, xi_t_last, n, k):
 # 6:19-26; Hairer-Norsett-Wanner, Solving ODEs I, Sec. II.4): stage
 # coefficients, 5th-order weights, and error weights E = b5 - b4 over the
 # six stages plus the first-same-as-last seventh.  With the controller
-# constants below this is the method scipy's RK45 steps with, so the
-# lanes of integrate_lanes and integrate_endpoint take the steps
-# integrate takes.
+# constants below this is the method of scipy 1.17.1's RK45, which
+# solve_ivp ports; the lanes of integrate_lanes and integrate_endpoint
+# take the steps integrate takes.
 _DP_A = (
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -355,6 +360,332 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1 / 5
+
+# The dense output of RK45 (Shampine 1986, Math. Comp. 46:135-150, with
+# Dormand and Prince's optimal c_6): over a step of size h from (t_old,
+# y_old), y(t_old + x h) = y_old + h * (K^T P) (x, x^2, x^3, x^4), with K
+# the seven stage derivatives.
+_DP_P = (
+    (1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0, 0, 0, 0),
+    (0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+# The tableau as the arrays scipy's RK45 holds, laid out alike, so that
+# each matrix product below rounds as scipy's does.
+_RK_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+_RK_A = np.array([row + (0.0,) * (5 - len(row)) for row in ((),) + _DP_A])
+_RK_ROWS = [_RK_A[s, :s] for s in range(1, 6)]
+_RK_B, _RK_E, _RK_P = np.array(_DP_B), np.array(_DP_E), np.array(_DP_P)
+_EPS = np.finfo(float).eps
+_BRENTQ_RTOL = 4 * float(_EPS)
+
+
+def brentq(f, a, b, *, xtol=2e-12, rtol=_BRENTQ_RTOL, maxiter=100):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method (Brent 1973, *Algorithms for Minimization without Derivatives*,
+    ch. 4).
+
+    scipy 1.17.1's ``scipy.optimize.brentq``, ported bit for bit: the loop
+    of its ``brentq.c`` on Python floats, so f is evaluated at the same
+    points and the same root is returned, and the checks of its wrapper.
+    A nan value of f, or f(a) and f(b) of one sign, raises ValueError;
+    no convergence within ``maxiter`` iterations raises RuntimeError.
+    """
+    maxiter = operator.index(maxiter)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENTQ_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENTQ_RTOL:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+    xtol, rtol = float(xtol), float(rtol)
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return float(fx)
+
+    def differ(p, q):  # signbit(p) != signbit(q)
+        return math.copysign(1.0, p) != math.copysign(1.0, q)
+
+    xpre, xcur = float(a), float(b)
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if not differ(fpre, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and differ(fpre, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # C divides by zero into inf or nan, which bisects below.
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _norm(x):
+    """scipy's RMS norm."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+class _Step:
+    """The dense output of one accepted step: scipy's RkDenseOutput."""
+
+    __slots__ = ("t_old", "h", "y_old", "Q")
+
+    def __init__(self, t_old, t, y_old, Q):
+        self.t_old, self.h, self.y_old, self.Q = t_old, t - t_old, y_old, Q
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            p = np.cumprod(np.tile(x, 4))
+        else:
+            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+        y = self.h * np.dot(self.Q, p)
+        y += self.y_old[:, None] if y.ndim == 2 else self.y_old
+        return y
+
+
+class DenseSolution:
+    """The dense output of an integration: scipy's OdeSolution on
+    increasing breakpoints ``ts``.
+
+    A time is evaluated on the step ``searchsorted`` (side ``left``) finds
+    for it, the lower one at a breakpoint, and clamped to the first or
+    last step outside them.  An array of times is sorted and evaluated in
+    runs that share a step, as scipy evaluates it.
+    """
+
+    def __init__(self, ts, steps):
+        self.ts = ts
+        self.steps = steps
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        last = len(self.steps) - 1
+        if t.ndim == 0:
+            i = np.searchsorted(self.ts, t, side="left")
+            return self.steps[min(max(i - 1, 0), last)](t)
+        order = np.argsort(t)
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        t_sorted = t[order]
+        segments = np.clip(np.searchsorted(self.ts, t_sorted, side="left")
+                           - 1, 0, last)
+        ys, start = [], 0
+        for segment, group in itertools.groupby(segments):
+            end = start + len(list(group))
+            ys.append(self.steps[segment](t_sorted[start:end]))
+            start = end
+        return np.hstack(ys)[:, reverse]
+
+
+@dataclass
+class IvpResult:
+    """The fields of scipy's result that :func:`solve_ivp` fills: status
+    0 at the end of the span, 1 at an event, -1 after a step failure."""
+
+    t: np.ndarray
+    y: np.ndarray
+    sol: DenseSolution
+    t_events: list
+    status: int
+    nfev: int
+
+
+def solve_ivp(fun, t_span, y0, *, rtol, atol, events=()):
+    """scipy 1.17.1's ``solve_ivp(fun, t_span, y0, method="RK45",
+    dense_output=True, events=events, rtol=rtol, atol=atol)``, ported bit
+    for bit for an increasing span and terminal events.
+
+    The port makes scipy's numpy calls in scipy's order, so its steps,
+    states, event times, dense output and ``nfev`` equal scipy's to the
+    last bit: the starting step of ``select_initial_step``; the stages
+    and weights of ``rk_step`` as matrix products of the stage array,
+    the zero weight of the second stage included; the RMS error norm
+    through ``np.linalg.norm``; the controller, with its step floor of
+    ten ulps of t; and the dense output ``K^T P`` of each step.  An event
+    fires when its value reaches or crosses zero over a step, in its
+    ``direction`` if it has one, and is located by :func:`brentq` on the
+    dense output at xtol = rtol = 4 eps; of several, the earliest stops
+    the integration.  An event that is not terminal is refused.
+
+    ``fun(t, y)`` gets y as a numpy array; each event gets y0 as given,
+    then numpy arrays.
+    """
+    t, tf = map(float, t_span)
+    if not t < tf:
+        raise ValueError("the time span must be increasing")
+    events = tuple(events)
+    if any(getattr(event, "terminal", None) != 1 for event in events):
+        raise ValueError("every event must be terminal")
+    direction = np.array([getattr(e, "direction", 0) for e in events],
+                         dtype=float)
+    y = np.asarray(y0).astype(float, copy=False)
+    if not np.isfinite(y).all():
+        raise ValueError(
+            "All components of the initial state `y0` must be finite.")
+    if rtol < 100 * _EPS:
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.",
+                      stacklevel=2)
+        rtol = np.maximum(rtol, 100 * _EPS)
+    atol = np.asarray(atol)
+    if np.any(atol < 0):
+        raise ValueError("`atol` must be positive.")
+
+    nfev = 0
+
+    def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=float)
+
+    # select_initial_step (Hairer-Norsett-Wanner II.4).
+    f = rhs(t, y)
+    span = tf - t
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _norm(y / scale), _norm(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    d2 = _norm((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, span)
+
+    K = np.empty((7, y.size))
+    ts, ys, steps = [t], [y0], []
+    g = [event(t, y0) for event in events]
+    t_events = [[] for _ in events]
+    status = None
+    while status is None:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = t + h_abs
+            if t_new > tf:
+                t_new = tf
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            # rk_step
+            K[0] = f
+            for s, a in enumerate(_RK_ROWS, start=1):
+                dy = np.dot(K[:s].T, a) * h
+                K[s] = rhs(t + _RK_C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _RK_B)
+            f_new = K[-1] = rhs(t + h, y_new)
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _norm(np.dot(K.T, _RK_E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        if status == -1:
+            break
+
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if t >= tf:
+            status = 0
+        step = _Step(t_old, t, y_old, K.T.dot(_RK_P))
+        steps.append(step)
+
+        # find_active_events: a value that reaches or crosses zero.
+        g_new = [event(t, y) for event in events]
+        up = (np.asarray(g) <= 0) & (np.asarray(g_new) >= 0)
+        down = (np.asarray(g) >= 0) & (np.asarray(g_new) <= 0)
+        active = np.nonzero(up & (direction > 0) | down & (direction < 0)
+                            | (up | down) & (direction == 0))[0]
+        if active.size:
+            roots = np.asarray([
+                brentq(lambda tau, event=events[i]: event(tau, step(tau)),
+                       t_old, t, xtol=4 * _EPS, rtol=4 * _EPS)
+                for i in active])
+            first = np.argsort(roots)[0]
+            t = roots[first]
+            t_events[active[first]].append(t)
+            y = step(t)
+            status = 1
+        g = g_new
+
+        # An event at the start of a step ends the integration where the
+        # previous step did; scipy then drops the step.
+        if len(ts) > 1 and ts[-1] == t:
+            steps.pop()
+        else:
+            ts.append(t)
+            ys.append(y)
+
+    ts = np.array(ts)
+    return IvpResult(t=ts, y=np.vstack(ys).T, sol=DenseSolution(ts, steps),
+                     t_events=[np.asarray(te) for te in t_events],
+                     status=status, nfev=nfev)
+
 
 
 def _lane_rhs(y, k, th, beta, out=None):
@@ -388,12 +719,14 @@ def _weighted_sum(weights, K, out, term):
 
 
 def _rms(a):
-    """scipy's RMS norm over the two state components, per lane."""
+    """The RMS norm of scipy 1.17.1's RK45 over the two state components,
+    per lane."""
     return np.sqrt(a[0] * a[0] + a[1] * a[1]) / 2 ** 0.5
 
 
 def _initial_step(y, f, T, k, th, beta, rtol, atol):
-    """scipy's starting step (Hairer-Norsett-Wanner II.4), per lane.
+    """The starting step of scipy 1.17.1's RK45 (Hairer-Norsett-Wanner
+    II.4), per lane.
 
     ``np.where(b < a, b, a)`` is Python's ``min(a, b)`` and keeps its
     handling of nan, which ``np.minimum`` does not.
@@ -572,13 +905,14 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
     """Integrate many seeds of the radial ODE from t = 0 to t = T at once.
 
     Each lane is one admissible seed (xi0, xi_t0) with its own step size,
-    and runs the controller of :func:`integrate` (scipy's RK45): the same
-    tableau, starting step and RMS error norm; safety factor 0.9, step
-    factors clamped to [0.2, 10] and no growth straight after a rejected
-    trial; a nan error norm shrinks the step by 0.2; a step below ten
-    ulps of t fails.  After every accepted step the ellipticity guard of
-    :func:`integrate` is tested by the sign of its values at the ends of
-    the step, which is how scipy detects events, so each lane stops where
+    and runs the controller of :func:`integrate` (scipy 1.17.1's RK45, as
+    :func:`solve_ivp` ports it): the same tableau, starting step and RMS
+    error norm; safety factor 0.9, step factors clamped to [0.2, 10] and
+    no growth straight after a rejected trial; a nan error norm shrinks
+    the step by 0.2; a step below ten ulps of t fails.  After every
+    accepted step the ellipticity guard of :func:`integrate` is tested by
+    the sign of its values at the ends of the step, which is how
+    :func:`solve_ivp` detects events, so each lane stops where
     ``integrate`` would.  The guard is positive at the start of a step,
     so the test reads only its end.  Events are not located: a lane that
     stops early reports nan for its state.  Finished lanes leave the

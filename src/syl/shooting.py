@@ -26,13 +26,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .radial import (
     AnnulusProblem,
     RadialState,
     _lane_loop,
     _lane_start,
+    brentq,
     integrate,
     integrate_endpoint,
     integrate_lanes,
@@ -263,7 +263,7 @@ class _SeedFan:
     passes through the first checkpoint whose first trial reaches T.
     :meth:`residuals` restarts each lane there and takes the last step
     or two on the same loop.  The exception is a T small enough to change
-    scipy's starting step, which bounds its trial steps by T: such a
+    the starting step, which bounds its trial steps by T: such a
     lane restarts from t = 0 with the starting step for T.  Either way
     the state at T is bit for bit the one a fresh :func:`integrate_lanes`
     call gives, since a lane's steps do not depend on its batch.

@@ -92,12 +92,26 @@ def _elementary(lam: np.ndarray, k: int):
 
 
 def _last(lam: np.ndarray, k: int):
-    """e_k of ``lam`` (of each row when 2-D), overflowing quietly."""
+    """e_k of ``lam`` (of each row when 2-D), overflowing quietly to inf.
+
+    Where a finite vector's pass is not finite (an overflowing power sum
+    meets inf - inf), it is redone on the vector scaled by a power of two
+    to max|lam| in [1/2, 1), and the result scaled back by that power to
+    the k; a finite result of the plain pass keeps its bits.
+    """
     if lam.ndim == 1:
         *_, e_k = _elementary(lam, k)
-        return e_k
+        if math.isfinite(e_k) or not np.isfinite(lam).all():
+            return e_k
+        return float(_last(lam[None], k)[0])  # rounds as the vector does
     with np.errstate(over="ignore", invalid="ignore"):
         *_, e_k = _elementary(lam, k)
+        finite = np.isfinite(e_k)
+        if not finite.all():
+            redo = ~finite & np.isfinite(lam).all(axis=1)
+            exp = np.frexp(np.abs(lam[redo]).max(axis=1))[1]
+            *_, scaled = _elementary(np.ldexp(lam[redo], -exp[:, None]), k)
+            e_k[redo] = np.ldexp(scaled, k * exp)
     return e_k
 
 

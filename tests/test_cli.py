@@ -61,6 +61,36 @@ def test_cone_check_membership_and_sigmas(capsys):
     assert doc["sigmas"]["sigma_3"] == pytest.approx(-0.25)
 
 
+def test_documents_are_strict_json(capsys, tmp_path):
+    # sigma_2 of this vector overflows; strict JSON has no Infinity or NaN.
+    def refuse(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    argv = ["cone-check", "--k", "2", "--lam=1e200,1e200,1e200",
+            "--out", str(tmp_path)]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    doc = json.loads(out, parse_constant=refuse)
+    assert doc["sigmas"] == {"sigma_1": 3e200, "sigma_2": None}
+    assert doc["in_gamma_k"] is True
+    assert (tmp_path / "result.json").read_text() == out
+
+
+def test_the_package_imports_without_scipy():
+    # scipy is needed only by the benchmark and the tests that pin the
+    # integrator and root finder to it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(syl.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, syl, syl.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_solve_annulus_command_finds_the_equilibrium(capsys):
     xi_c = shooting.cylinder_solution(5, 2)[0]
     code, doc = _run_json(capsys, [

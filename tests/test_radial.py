@@ -113,6 +113,18 @@ def test_integrate_input_validation():
         radial.integrate((0.0, 0.0), -1.0, 5, 2)
 
 
+@pytest.mark.parametrize("T_max", [math.inf, math.nan])
+def test_integrate_refuses_a_non_finite_end_time(T_max):
+    # An orbit near the cylinder neither breaks down nor leaves, so with
+    # T_max = inf the integration used to run forever.
+    xi_cyl = shooting.cylinder_solution(5, 2)[0]
+    with pytest.raises(ValueError):
+        radial.integrate((xi_cyl + 0.05, 0.0), T_max, 5, 2,
+                         rtol=1e-6, atol=1e-9)
+    with pytest.raises(ValueError):
+        shooting.counterexample_sweep(6, 2, -1.0, 0.2, [1e-3], T_max=T_max)
+
+
 def test_integrate_extra_event_termination():
     def crossing(t, y):
         return y[0] - 0.5  # fires when xi grows through 0.5

@@ -70,16 +70,39 @@ def test_vector_sigma_k_rounds_as_its_row_bit_for_bit():
 
 
 def test_sigma_k_overflows_quietly_as_vector_and_as_row():
-    # p_2 overflows to inf and e_2 = (p_1^2 - p_2)/2 meets inf - inf.
+    # p_2 overflows to inf and e_2 = (p_1^2 - p_2)/2 meets inf - inf; the
+    # rescaled pass gives the overflowing value its sign.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for v, want in (([1e200, 1e200], math.nan),
+        for v, want in (([1e200, 1e200], math.inf),
                         ([1e200, -1e200], -math.inf)):
             v = np.array(v)
             row = float(symfn.sigma_k(v[None], 2)[0])
             assert symfn.sigma_k(v, 2).hex() == row.hex() == want.hex()
         grad = symfn.sigma_k_gradient(np.array([1e200, 1e200, 1.0]), 3)
-    assert np.isnan(grad).all()
+        assert symfn.sigma_k_gradient(np.full(3, 1e200), 3).tolist() == [
+            math.inf] * 3
+    assert not np.isnan(grad).any() and grad[2] == math.inf
+
+
+def test_sigma_k_of_a_finite_vector_is_never_nan():
+    # A finite vector gets its e_k, or +-inf where that overflows; a
+    # non-finite entry still gives nan, and finite results keep the bits
+    # of the plain pass.
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        v = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(
+            100.0, 300.0, size=n)
+        for k in range(n + 1):
+            alone = symfn.sigma_k(v, k)
+            assert not math.isnan(alone)
+            assert alone.hex() == float(symfn.sigma_k(v[None], k)[0]).hex()
+            *_, plain = symfn._elementary(v, k)
+            if math.isfinite(plain):
+                assert alone.hex() == plain.hex()
+    assert symfn.sigma_k(np.full(3, 1e120), 3) == math.inf
+    assert math.isnan(symfn.sigma_k(np.array([math.inf, 1.0]), 2))
 
 
 def test_sigma_k_edge_orders():
