@@ -216,7 +216,17 @@ def _cmd_cone_check(args):
     return payload, 0
 
 
+def _check_count(args) -> int:
+    """``--count``, refused below 1: a check of no samples passes
+    vacuously."""
+    count = int(args.count)
+    if count < 1:
+        raise _CliError(f"--count must be at least 1, got {count}")
+    return count
+
+
 def _cmd_build_f(args):
+    count = _check_count(args)
     n, k = int(args.n), int(args.k)
     alpha = float(args.alpha)
     base = symfn.sigma_root(k, n)
@@ -224,7 +234,7 @@ def _cmd_build_f(args):
         base.value, alpha, n=n, in_cone=base.in_cone,
         grad_h=base.gradient)
     rng = np.random.default_rng(int(args.seed))
-    samples = [np.exp(rng.normal(size=n)) for _ in range(int(args.count))]
+    samples = [np.exp(rng.normal(size=n)) for _ in range(count)]
     report = symfn.verify_axioms(built, samples, rng=rng)
     payload = {
         "command": "build-f",
@@ -321,14 +331,14 @@ _SUITES = {
 
 
 def _cmd_verify(args):
+    count = _check_count(args)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     unknown = [nm for nm in names if nm not in _SUITES]
     if unknown:
         raise _CliError(f"unknown suite(s): {', '.join(unknown)}")
     suites = {}
     for nm in names:
-        suites[nm] = _SUITES[nm](int(args.count), float(args.tol),
-                                 int(args.seed))
+        suites[nm] = _SUITES[nm](count, float(args.tol), int(args.seed))
     passed = all(s["passed"] for s in suites.values())
     payload = {
         "command": "verify",
@@ -338,7 +348,7 @@ def _cmd_verify(args):
     }
     if args.out and args.csv and "reductions" in names:
         os.makedirs(args.out, exist_ok=True)
-        rep = mobius.verify_reduction_identities(4, int(args.count),
+        rep = mobius.verify_reduction_identities(4, count,
                                                  seed=int(args.seed),
                                                  tol=float(args.tol))
         rep.write_csv(os.path.join(args.out, "reductions.csv"))

@@ -272,6 +272,8 @@ def moving_sphere_radius(
     if not 0.0 < bisect_tol < math.inf:
         raise ValueError(f"bisect_tol must be positive and finite, "
                          f"got {bisect_tol!r}")
+    if coarse < 1:
+        raise ValueError(f"coarse must be at least 1, got {coarse!r}")
     x = _vec(x)
     Y = np.asarray(cloud, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != x.size:
@@ -351,6 +353,8 @@ def gradient_bound_check(
     around x must satisfy |grad log w(y)| (lam_bar - |y-x|) <= n - 2.
     ``grad_log_w`` maps an (m, n) array to an (m, n) array.
     """
+    if n < 3:
+        raise ValueError("dimension must be at least 3")
     x = _vec(x)
     Y = np.asarray(cloud, dtype=float)
     dist = np.sqrt(np.einsum("ij,ij->i", Y - x, Y - x))
@@ -422,6 +426,8 @@ def sphere_identity_sweep(n: int, count: int = 500, *, rng=None,
     Returns the worst (most negative) inequality gap seen; raises if any
     draw violates its inequality beyond ``tol``.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     worst = math.inf
@@ -627,6 +633,8 @@ def verify_reduction_identities(n: int = 4, count: int = 1000, *,
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
     rng = np.random.default_rng(seed)
     report = ReductionReport(n=n, count=count, seed=int(seed), tol=tol)
     for name in REDUCTION_NAMES:

@@ -11,9 +11,10 @@ the endpoints when k >= 2).  This module provides the coordinate maps,
 the right-hand side with its guards, an adaptive integrator with event
 truncation and dense output, two twins of it that return only the state
 at the outer end (a lane-batched one that advances many seeds at once,
-and a scalar one in Python floats), Robin boundary residuals in xi-form,
-and reconstruction of the annulus profile u(r) together with its
-Schouten eigenvalues.
+and a scalar one in Python floats), a fan of lanes that reads the same
+seeds at any end time, Robin boundary residuals in xi-form, and
+reconstruction of the annulus profile u(r) together with its Schouten
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "solve_ivp",
     "brentq",
     "integrate_lanes",
+    "LaneFan",
     "integrate_endpoint",
     "inner_bc_residual",
     "outer_bc_residual",
@@ -221,12 +223,13 @@ def integrate(
     """Integrate the radial ODE from t = 0 until T_max or a terminal event.
 
     ``initial`` is a RadialState or an (xi, xi_t) pair at t = 0 and must be
-    admissible, and T_max must be positive and finite.  The steps are
-    those of scipy 1.17.1's RK45 (see :func:`solve_ivp`).  The built-in
-    terminal event is ellipticity breakdown (1 - xi_t^2 falls to the
-    guard).  ``extra_events`` are passed through to :func:`solve_ivp`
-    (scipy's event protocol); each must be terminal, and stopping at one
-    gives termination cause ``event:<index>``.
+    admissible, T_max must be positive and finite, and rtol and atol
+    finite and non-negative.  The steps are those of scipy 1.17.1's RK45
+    (see :func:`solve_ivp`).  The built-in terminal event is ellipticity
+    breakdown (1 - xi_t^2 falls to the guard).  ``extra_events`` are
+    passed through to :func:`solve_ivp` (scipy's event protocol); each
+    must be terminal, and stopping at one gives termination cause
+    ``event:<index>``.
 
     For k >= 2 the right-hand side has a pole on the degenerate set, so
     adaptive steps can underflow slightly before the guard event becomes
@@ -239,10 +242,7 @@ def integrate(
         y0 = (initial.xi, initial.xi_t)
     else:
         y0 = (float(initial[0]), float(initial[1]))
-    if not 1.0 - y0[1] ** 2 > ETA_GUARD:
-        raise ValueError("initial state is not admissible")
-    if not 0.0 < T_max < math.inf:
-        raise ValueError("T_max must be positive and finite")
+    _check_args(y0[1], T_max, rtol, atol)
     accel = _clamped_accel(n, k)
 
     def rhs(t, y):
@@ -891,13 +891,19 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
     return end, cause
 
 
-def _check_endpoint_args(xi_t0, T):
+def _check_args(xi_t0, T, rtol, atol):
+    """Refuse an inadmissible slope, an end time not positive and finite
+    (``T=None`` skips it), and a nan, infinite or negative tolerance,
+    which would shrink a nan step forever or fake an empty answer."""
     with np.errstate(over="ignore"):  # a huge slope squares to inf
         admissible = np.all(1.0 - xi_t0 * xi_t0 > ETA_GUARD)
     if not admissible:
         raise ValueError("initial state is not admissible")
-    if not 0.0 < T < math.inf:
+    if T is not None and not 0.0 < T < math.inf:
         raise ValueError("T must be positive and finite")
+    if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):
+        raise ValueError(f"rtol and atol must be finite and non-negative, "
+                         f"got {rtol!r} and {atol!r}")
 
 
 def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
@@ -927,12 +933,106 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
     """
     shape = np.shape(xi0)
     y0 = np.array([np.ravel(xi0), np.ravel(xi_t0)], dtype=float)
-    _check_endpoint_args(y0[1], T)
+    _check_args(y0[1], T, rtol, atol)
     f, h = _lane_start(y0, T, n, k, rtol, atol)
     end, cause = _lane_loop(y0, np.zeros(y0.shape[1]), y0, f, h, T, n, k,
                             rtol, atol)
     termination = np.asarray(TERMINATIONS)[cause].reshape(shape)
     return end[0].reshape(shape), end[1].reshape(shape), termination
+
+
+class LaneFan:
+    """Lanes of :func:`integrate_lanes` for fixed seeds, read at any T.
+
+    The radial ODE is autonomous, so one trajectory per seed serves every
+    end time.  Each admissible seed (xi0, xi_t0) runs once on the lane
+    loop, with no end time, and the controller state after every
+    accepted step is kept as a checkpoint: t, the state, its derivative
+    and the proposed next step.  The checkpoints go only as far as the
+    largest T asked for so far, and are extended from there.
+
+    A lane integrated to T takes the same steps until its first trial
+    that would pass T.  Trial steps from a checkpoint only shrink after
+    the first, whose size is the checkpoint's step, so the lane to T
+    passes through the first checkpoint whose first trial reaches T.
+    :meth:`end_states` restarts each lane there and takes the last step
+    or two on the same loop.  The exception is a T that changes the
+    starting step, which bounds its trial steps by T: such a lane
+    restarts from t = 0 with the starting step for T.  Either way the
+    state at T is bit for bit the one :func:`integrate_lanes` gives,
+    since a lane's steps do not depend on its batch.
+    """
+
+    def __init__(self, xi0, xi_t0, n: int, k: int, *, rtol: float = 1e-10,
+                 atol: float = 1e-12):
+        self.seeds = np.array([np.ravel(xi0), np.ravel(xi_t0)], dtype=float)
+        _check_args(self.seeds[1], None, rtol, atol)
+        self.n, self.k, self.rtol, self.atol = n, k, rtol, atol
+        m = self.seeds.shape[1]
+        f0, self._h0 = _lane_start(self.seeds, math.inf, n, k, rtol, atol)
+        self._parts = [(np.arange(m), np.zeros(m), self.seeds, f0,
+                        self._h0)]
+        self._front = np.arange(m)  # lanes still going
+        self._frontier = 0.0
+        self._merge()
+
+    def _merge(self):
+        """Order the checkpoints lane by lane, each lane in time order."""
+        lane, t, y, f, h = (np.concatenate(parts, axis=-1)
+                            for parts in zip(*self._parts))
+        order = np.argsort(lane, kind="stable")
+        lane, self._t, self._y, self._f, self._h = (
+            lane[order], t[order], y[:, order], f[:, order], h[order])
+        self._parts = [(lane, self._t, self._y, self._f, self._h)]
+        lanes = np.arange(self.seeds.shape[1])
+        self._first = np.searchsorted(lane, lanes)
+        self._last = np.searchsorted(lane, lanes, side="right") - 1
+        # Where the first trial from each checkpoint ends, as the lane
+        # loop computes it: t + h after the ten-ulp floor.
+        min_step = 10.0 * np.spacing(self._t)
+        self._reach = self._t + np.where(self._h < min_step, min_step,
+                                         self._h)
+
+    def _extend(self, T: float):
+        """Run the lanes still going until a checkpoint's trial reaches T."""
+        lanes = self._front
+        last = self._last[lanes]
+
+        def keep(i, *state):
+            self._parts.append((lanes[i],) + state)
+
+        _, cause = _lane_loop(
+            self.seeds[:, lanes], self._t[last], self._y[:, last],
+            self._f[:, last], self._h[last], math.inf, self.n, self.k,
+            self.rtol, self.atol, stop=T, accepted=keep)
+        self._front = lanes[cause == -1]
+        self._frontier = T
+        self._merge()
+
+    def end_states(self, T: float) -> np.ndarray:
+        """The (2, m) states (xi, xi_t) of the seeds at T, nan where a lane
+        stops first."""
+        _check_args(self.seeds[1], T, self.rtol, self.atol)
+        if T > self._frontier:
+            self._extend(T)
+        _, h_T = _lane_start(self.seeds, T, self.n, self.k, self.rtol,
+                             self.atol)
+        # Each lane replays from the first checkpoint whose first trial
+        # reaches T, or from t = 0 when T changes its starting step; a
+        # lane with neither broke down before T.  Where T keeps the
+        # starting step, a replay from t = 0 is the fresh start.
+        count = self._t.size
+        hits = np.where(self._reach >= T, np.arange(count), count)
+        first = np.minimum.reduceat(hits, self._first)
+        restart = h_T != self._h0
+        go = np.flatnonzero(restart | (first < count))
+        at = np.where(restart, self._first, first)[go]
+        h = np.where(restart[go], h_T[go], self._h[at])
+        end = np.full(self.seeds.shape, math.nan)
+        end[:, go], _ = _lane_loop(
+            self.seeds[:, go], self._t[at], self._y[:, at], self._f[:, at],
+            h, T, self.n, self.k, self.rtol, self.atol)
+        return end
 
 
 def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
@@ -958,7 +1058,7 @@ def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
     """
     x0 = x = float(xi0)
     v0 = v = float(xi_t0)
-    _check_endpoint_args(v, T)
+    _check_args(v, T, rtol, atol)
     accel = _clamped_accel(n, k)
     a, h = _endpoint_start(x, v, T, n, k, rtol, atol)
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \

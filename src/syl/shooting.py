@@ -29,9 +29,8 @@ import numpy as np
 
 from .radial import (
     AnnulusProblem,
+    LaneFan,
     RadialState,
-    _lane_loop,
-    _lane_start,
     brentq,
     integrate,
     integrate_endpoint,
@@ -246,112 +245,6 @@ def _make_residual(problem: AnnulusProblem, rtol: float, atol: float):
     return fn
 
 
-class _SeedFan:
-    """Lane trajectories of one scan grid, read at any outer radius.
-
-    The radial ODE is autonomous and the inner Robin data does not depend
-    on R, so one trajectory per seed serves every outer radius.  Each
-    admissible seed of ``grid`` runs once on the lane loop of
-    :func:`integrate_lanes`, with no end time, and the controller state
-    after every accepted step is kept as a checkpoint: t, the state, its
-    derivative and the proposed next step.  The checkpoints go only as
-    far as the largest T asked for so far, and are extended from there.
-
-    A lane integrated to T takes the same steps until its first trial
-    that would pass T.  Trial steps from a checkpoint only shrink after
-    the first, whose size is the checkpoint's step, so the lane to T
-    passes through the first checkpoint whose first trial reaches T.
-    :meth:`residuals` restarts each lane there and takes the last step
-    or two on the same loop.  The exception is a T small enough to change
-    the starting step, which bounds its trial steps by T: such a
-    lane restarts from t = 0 with the starting step for T.  Either way
-    the state at T is bit for bit the one a fresh :func:`integrate_lanes`
-    call gives, since a lane's steps do not depend on its batch.
-    """
-
-    def __init__(self, grid: np.ndarray, n: int, k: int, c1: float,
-                 rtol: float, atol: float):
-        self.grid, self.n, self.k, self.c1 = grid, n, k, c1
-        self.rtol, self.atol = rtol, atol
-        ok, xi_t0 = _inner_slopes(grid, c1)
-        self.index = np.flatnonzero(ok)
-        self.seeds = np.array([grid[ok], xi_t0[ok]])
-        m = self.index.size
-        f0, self.h0 = _lane_start(self.seeds, math.inf, n, k, rtol, atol)
-        self._parts = [(np.arange(m), np.zeros(m), self.seeds, f0,
-                        self.h0)]
-        self._front = np.arange(m)  # lanes still going
-        self._frontier = 0.0
-        self._merge()
-
-    def _merge(self):
-        """Order the checkpoints lane by lane, each lane in time order."""
-        lane, t, y, f, h = (np.concatenate(parts, axis=-1)
-                            for parts in zip(*self._parts))
-        order = np.argsort(lane, kind="stable")
-        lane, self._t, self._y, self._f, self._h = (
-            lane[order], t[order], y[:, order], f[:, order], h[order])
-        self._parts = [(lane, self._t, self._y, self._f, self._h)]
-        lanes = np.arange(self.index.size)
-        self._first = np.searchsorted(lane, lanes)
-        self._last = np.searchsorted(lane, lanes, side="right") - 1
-        # Where the first trial from each checkpoint ends, as the lane
-        # loop computes it: t + h after the ten-ulp floor.
-        min_step = 10.0 * np.spacing(self._t)
-        self._reach = self._t + np.where(self._h < min_step, min_step,
-                                         self._h)
-
-    def _extend(self, T: float):
-        """Run the lanes still going until a checkpoint's trial reaches T."""
-        lanes = self._front
-        last = self._last[lanes]
-
-        def keep(i, *state):
-            self._parts.append((lanes[i],) + state)
-
-        _, cause = _lane_loop(
-            self.seeds[:, lanes], self._t[last], self._y[:, last],
-            self._f[:, last], self._h[last], math.inf, self.n, self.k,
-            self.rtol, self.atol, stop=T, accepted=keep)
-        self._front = lanes[cause == -1]
-        self._frontier = T
-        self._merge()
-
-    def serves(self, problem: AnnulusProblem, grid: np.ndarray, rtol: float,
-               atol: float) -> bool:
-        """Whether the fan holds the scan of ``problem`` over ``grid`` at
-        tolerance (rtol, atol)."""
-        return ((problem.n, problem.k, problem.c1, rtol, atol)
-                == (self.n, self.k, self.c1, self.rtol, self.atol)
-                and np.array_equal(grid, self.grid))
-
-    def residuals(self, problem: AnnulusProblem) -> np.ndarray:
-        """Scan residuals over the grid for ``problem``, of the fan's class
-        and c1; nan marks unevaluable seeds."""
-        T = problem.T
-        xi, xi_t = np.full((2, self.grid.size), math.nan)
-        if self.index.size:
-            if T > self._frontier:
-                self._extend(T)
-            _, h_T = _lane_start(self.seeds, T, self.n, self.k, self.rtol,
-                                 self.atol)
-            # Each lane replays from the first checkpoint whose first trial
-            # reaches T, or from t = 0 when T changes its starting step; a
-            # lane with neither broke down before T.
-            count = self._t.size
-            hits = np.where(self._reach >= T, np.arange(count), count)
-            first = np.minimum.reduceat(hits, self._first)
-            restart = (first == self._first) | (h_T != self.h0)
-            go = np.flatnonzero(restart | (first < count))
-            at = np.where(restart, self._first, first)[go]
-            h = np.where(restart[go], h_T[go], self._h[at])
-            end, _ = _lane_loop(
-                self.seeds[:, go], self._t[at], self._y[:, at],
-                self._f[:, at], h, T, self.n, self.k, self.rtol, self.atol)
-            xi[self.index[go]], xi_t[self.index[go]] = end
-        return _outer_residual(problem, xi, xi_t)
-
-
 def _nan_runs(values: np.ndarray):
     """(interior_runs, leading, trailing): maximal nan runs in the scan."""
     m = values.size
@@ -382,7 +275,7 @@ def solve_annulus(
     merge_tol: float = 1e-6,
     gap_limit: int = 10,
     polish: bool = True,
-    _fan: _SeedFan | None = None,
+    _residuals: np.ndarray | None = None,
 ) -> ShootingResult:
     """Find every rotationally symmetric solution on the annulus.
 
@@ -402,21 +295,24 @@ def solve_annulus(
     an empty result ``inconclusive`` rather than ``empty``, because a
     root could hide inside the unevaluated band.
 
-    The radius searches pass ``_fan``, a :class:`_SeedFan` of the same
-    grid, class, c1 and scan tolerance, which gives the same scan
-    residuals without integrating the grid again.  A single solve scans
-    afresh: building a fan to read it once costs about 15% more.
+    The radius searches pass ``_residuals``, the scan residuals read from
+    the :class:`radial.LaneFan` of their grid (see :func:`_prober`), so
+    the grid is not integrated again.  A single solve scans afresh:
+    building a fan to read it once costs about 15% more.
+
+    The four tolerances must be finite and non-negative: a nan one would
+    make every seed unevaluable and the answer a false ``empty``.
     """
+    for name, tol in (("scan_rtol", scan_rtol), ("scan_atol", scan_atol),
+                      ("rtol", rtol), ("atol", atol)):
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"{name} must be finite and non-negative, "
+                             f"got {tol!r}")
     if scan is None:
         scan = default_scan(problem.n, problem.k)
     grid = scan.grid
     coarse = _make_residual(problem, scan_rtol, scan_atol)
-    if _fan is None:
-        residuals = coarse(grid)
-    elif _fan.serves(problem, grid, scan_rtol, scan_atol):
-        residuals = _fan.residuals(problem)
-    else:
-        raise ValueError("the seed fan holds another scan")
+    residuals = coarse(grid) if _residuals is None else _residuals
 
     diag = ShootingDiagnostics(grid=grid, residuals=residuals)
     interior, lead, trail = _nan_runs(residuals)
@@ -493,15 +389,21 @@ def _check_positive(**values):
 def _prober(n, k, c1, c2, scan, scan_rtol, scan_atol):
     """R -> the polish-free solve at outer radius R, for a radius search.
 
-    The scan grid is integrated once, as a :class:`_SeedFan`, and every
-    probe reads its residuals from it.
+    The admissible seeds of the scan grid are integrated once, as a
+    :class:`radial.LaneFan`, and every probe passes the solve its scan
+    residuals, read from the fan at T = ln R.
     """
-    fan = _SeedFan(scan.grid, n, k, c1, scan_rtol, scan_atol)
+    grid = scan.grid
+    ok, xi_t0 = _inner_slopes(grid, c1)
+    fan = LaneFan(grid[ok], xi_t0[ok], n, k, rtol=scan_rtol, atol=scan_atol)
 
     def probe(R: float) -> ShootingResult:
-        return solve_annulus(AnnulusProblem(n, k, R, c1, c2), scan=scan,
-                             scan_rtol=scan_rtol, scan_atol=scan_atol,
-                             polish=False, _fan=fan)
+        problem = AnnulusProblem(n, k, R, c1, c2)
+        xi, xi_t = np.full((2, grid.size), math.nan)
+        xi[ok], xi_t[ok] = fan.end_states(problem.T)
+        return solve_annulus(problem, scan=scan, scan_rtol=scan_rtol,
+                             scan_atol=scan_atol, polish=False,
+                             _residuals=_outer_residual(problem, xi, xi_t))
     return probe
 
 
@@ -565,7 +467,7 @@ def find_r_star(
     expectation), ``unresolved`` (unsolvable all the way up to ``R_max``),
     ``inconclusive`` (a probe scan had a disqualifying interior gap).
 
-    Every probe reads the scan from one :class:`_SeedFan`.
+    Every probe reads the scan from one :class:`radial.LaneFan`.
     """
     if not c1 + c2 < 0.0:
         raise ValueError("threshold search needs c1 + c2 < 0")
@@ -651,7 +553,7 @@ def verify_bifurcation(
     counts shooting solutions as the outer radius varies; bisects the
     interval [(1-span) thr, (1+span) thr] on the predicate "more than one
     branch" and compares the located transition with the closed form.
-    Every probe reads the scan from one :class:`_SeedFan`.
+    Every probe reads the scan from one :class:`radial.LaneFan`.
     """
     if not window > 0.0:
         raise ValueError(f"window must be positive, got {window!r}")

@@ -118,9 +118,11 @@ def _last(lam: np.ndarray, k: int):
 def sigma_k(lam, k: int):
     """k-th elementary symmetric polynomial of the entries of ``lam``.
 
-    Computed through the Newton recurrence on power sums, which is
-    well-conditioned for the small dimensions (n <= 16) this package
-    targets.  ``sigma_k(lam, 0) == 1`` by convention.  A 2-D ``lam``
+    Computed through the Newton recurrence on power sums, whose absolute
+    error scales like eps * (sum |lam|)^k: a small product among large
+    entries is lost, e.g. ``sigma_k([1, 1e-20], 2)`` is 0.0, not 1e-20.
+    :func:`sigma_k_bruteforce` expands the products directly where that
+    matters.  ``sigma_k(lam, 0) == 1`` by convention.  A 2-D ``lam``
     gives the array of sigma_k of its rows, each rounded exactly as that
     row alone would be.
     """
@@ -436,6 +438,8 @@ def verify_axioms(
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     samples = [np.asarray(s, dtype=float) for s in samples]
+    if not samples:
+        raise ValueError("verify_axioms needs at least one sample point")
     for s in samples:
         if not f.in_cone(s):
             raise ValueError("verify_axioms requires interior sample points")

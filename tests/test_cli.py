@@ -222,6 +222,13 @@ def test_config_echoes_the_declared_parameters_and_seed(capsys, command):
      "--rel-tol", "0"],                                    # never converges
     ["rstar", "--n", "5", "--k", "2", "--c1", "-0.3", "--c2", "0",
      "--rel-tol", "nan"],                                  # never bisects
+    # A count below 1 checks nothing, so it cannot pass.
+    ["verify", "--suite", "cone", "--count", "0"],
+    ["verify", "--suite", "cone", "--count", "-3"],
+    ["verify", "--suite", "reductions", "--count", "0"],
+    ["verify", "--suite", "mobius", "--count", "0"],
+    ["verify", "--suite", "radial", "--count", "0"],
+    ["build-f", "--n", "5", "--k", "2", "--count", "0"],
 ])
 def test_invalid_input_exits_one_with_stderr_message(capsys, argv):
     code, out, err = _run(capsys, argv)

@@ -274,6 +274,25 @@ def test_moving_sphere_bisection_stops_at_adjacent_floats():
     assert abs(res.lam_bar - 1.0 / a) < 1e-6
 
 
+@pytest.mark.parametrize("coarse", [0, -1])
+def test_moving_sphere_radius_refuses_an_empty_coarse_scan(coarse):
+    # With no coarse radius tested it reported range_limited at lam_max.
+    n = 4
+    b = schouten.Bubble(n)
+    cloud = np.random.default_rng(3).normal(size=(50, n))
+    with pytest.raises(ValueError, match="coarse"):
+        mobius.moving_sphere_radius(b.u, np.zeros(n), cloud, n=n,
+                                    coarse=coarse)
+
+
+def test_gradient_bound_check_refuses_low_dimensions():
+    # n = 2 divided by n - 2 = 0.
+    cloud = np.random.default_rng(5).normal(size=(10, 2)) * 0.3
+    with pytest.raises(ValueError, match="dimension"):
+        mobius.gradient_bound_check(lambda Y: np.ones_like(Y), np.zeros(2),
+                                    1.0, cloud, n=2)
+
+
 def test_gradient_bound_holds_inside_the_critical_sphere():
     n = 5
     b = schouten.Bubble(n)  # a = 1, critical radius 1
@@ -355,6 +374,14 @@ def test_sphere_identity_validates_inputs():
     with pytest.raises(ValueError):
         # y off the sphere
         mobius.sphere_identity_check(x, 1.0, x, 2.0 * np.ones(n))
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_randomized_checks_refuse_an_empty_count(count):
+    with pytest.raises(ValueError, match="count"):
+        mobius.sphere_identity_sweep(4, count)
+    with pytest.raises(ValueError, match="count"):
+        mobius.verify_reduction_identities(4, count)
 
 
 def test_sphere_identity_sweep_is_nonnegative_and_deterministic():

@@ -279,6 +279,50 @@ def test_integrate_endpoint_input_validation():
         radial.integrate_endpoint(0.0, 0.0, math.inf, 5, 2)
 
 
+# Each integration entry point on the seed (0.5, 0.1) of (5, 2) to T = 1.
+_ENTRY_POINTS = {
+    "integrate": lambda **tol: radial.integrate((0.5, 0.1), 1.0, 5, 2,
+                                                **tol).final_state.xi,
+    "integrate_lanes": lambda **tol: radial.integrate_lanes(
+        [0.5], [0.1], 1.0, 5, 2, **tol)[0][0],
+    "integrate_endpoint": lambda **tol: radial.integrate_endpoint(
+        0.5, 0.1, 1.0, 5, 2, **tol)[0],
+    "LaneFan": lambda **tol: radial.LaneFan([0.5], [0.1], 5, 2,
+                                            **tol).end_states(1.0)[0, 0],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("name", ["rtol", "atol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1e-8])
+def test_integrators_refuse_a_bad_tolerance(entry, name, value):
+    # A nan tolerance used to shrink a nan step forever in integrate.
+    with pytest.raises(ValueError, match="rtol and atol"):
+        _ENTRY_POINTS[entry](**{name: value})
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_integrators_accept_zero_tolerances(entry):
+    if entry == "integrate":  # scipy warns and clamps a tiny rtol
+        with pytest.warns(UserWarning, match="rtol"):
+            xi = _ENTRY_POINTS[entry](rtol=0.0)
+    else:
+        xi = _ENTRY_POINTS[entry](rtol=0.0)
+    assert math.isfinite(xi)
+    assert math.isfinite(_ENTRY_POINTS[entry](atol=0.0))
+
+
+def test_lane_fan_input_validation():
+    with pytest.raises(ValueError, match="admissible"):
+        radial.LaneFan([0.0, 0.0], [0.5, 1.0], 5, 2)
+    fan = radial.LaneFan([0.0], [0.5], 5, 2)
+    for T in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="T must be"):
+            fan.end_states(T)
+    # A grid with no admissible seed gives a fan of none.
+    assert radial.LaneFan([], [], 5, 2).end_states(1.0).shape == (2, 0)
+
+
 @pytest.mark.parametrize("seed,T,n,k,want", [
     ((0.0, 0.999999), 1.0, 25, 12, "ellipticity_breakdown"),
     ((0.0, -0.9999), 2.0, 30, 14, "step_failure"),

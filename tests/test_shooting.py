@@ -310,7 +310,34 @@ def test_refined_roots_are_not_integrated_again(monkeypatch, n, k, R, c1, c2):
         assert sol.residual.hex() == fresh.hex()
 
 
+@pytest.mark.parametrize("name", ["scan_rtol", "scan_atol", "rtol", "atol"])
+def test_solve_annulus_refuses_a_nan_tolerance(name):
+    # Each used to make every seed unevaluable and report "empty"; with
+    # default tolerances this problem has one solution.
+    problem = AnnulusProblem(5, 2, 5.0)
+    assert len(shooting.solve_annulus(problem)) == 1
+    with pytest.raises(ValueError, match=name):
+        shooting.solve_annulus(problem, **{name: math.nan})
+
+
+def test_find_r_star_refuses_a_nan_scan_tolerance():
+    with pytest.raises(ValueError, match="rtol"):
+        shooting.find_r_star(5, 2, -0.3, 0.0, scan_rtol=math.nan)
+
+
 # ------------------------------------------------------------ the seed fan
+
+
+def _fan_of(grid, n, k, c1, tol):
+    ok, xi_t0 = shooting._inner_slopes(grid, c1)
+    seeds = grid[ok], xi_t0[ok]
+    return radial.LaneFan(*seeds, n, k, rtol=tol[0], atol=tol[1]), seeds
+
+
+def _lanes_at(seeds, T, n, k, tol):
+    xi, xi_t, _ = radial.integrate_lanes(*seeds, T, n, k, rtol=tol[0],
+                                         atol=tol[1])
+    return np.array([xi, xi_t])
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (7, 2), (7, 3)])
@@ -323,16 +350,15 @@ def test_fan_reads_equal_fresh_scans(n, k, tol):
     rng = np.random.default_rng([n, k, round(-math.log10(tol[0]))])
     grid = shooting.default_scan(n, k, num=41).grid
     for c1 in (-0.6, 0.6, *rng.uniform(-0.6, 0.6, 2)):
-        c2 = rng.uniform(-0.5, 0.5)
         radii = rng.uniform(1.0001, 12.0, rng.integers(2, 6)).tolist()
         radii.append(1.0 + 10.0 ** rng.uniform(-12.0, -6.0))
         order = [radii[i] for i in rng.permutation(len(radii))]
         order.append(1.5 * max(order))
-        fan = shooting._SeedFan(grid, n, k, c1, *tol)
+        fan, seeds = _fan_of(grid, n, k, c1, tol)
         for R in order:
-            problem = AnnulusProblem(n, k, R, c1, c2)
-            fresh = shooting._make_residual(problem, *tol)(grid)
-            assert _same_bits(fan.residuals(problem), fresh)
+            T = math.log(R)
+            assert _same_bits(fan.end_states(T),
+                              _lanes_at(seeds, T, n, k, tol))
 
 
 def test_fan_restarts_a_lane_whose_starting_step_depends_on_T():
@@ -352,35 +378,24 @@ def test_fan_restarts_a_lane_whose_starting_step_depends_on_T():
             for h in (h_free, h_T)]
     assert not _same_bits(*ends)
 
-    fan = shooting._SeedFan(grid, n, k, c1, *tol)
-    for radius in (3.0, R):
-        problem = AnnulusProblem(n, k, radius, c1, 0.0)
-        fresh = shooting._make_residual(problem, *tol)(grid)
-        assert _same_bits(fan.residuals(problem), fresh)
+    fan, seeds = _fan_of(grid, n, k, c1, tol)
+    for T in (math.log(3.0), math.log(R)):
+        assert _same_bits(fan.end_states(T), _lanes_at(seeds, T, n, k, tol))
 
 
-@pytest.mark.parametrize("change", ["grid", "class", "c1", "rtol", "atol"])
-def test_solve_annulus_refuses_a_fan_of_another_scan(change):
+@pytest.mark.parametrize("c1", [-0.6, -0.3, 0.6])
+def test_a_probe_reads_the_residuals_of_a_fresh_scan(c1):
+    # c1 = +-0.6 makes the low end of the grid inadmissible.
     scan = shooting.default_scan(5, 2, num=40)
-    fan = shooting._SeedFan(scan.grid, 5, 2, -0.3, 1e-7, 1e-9)
-    problem = AnnulusProblem(5, 2, 3.0, -0.3, 0.0)
-    kwargs = dict(scan=scan, scan_rtol=1e-7, scan_atol=1e-9, polish=False)
-    served = shooting.solve_annulus(problem, _fan=fan, **kwargs)
-    fresh = shooting.solve_annulus(problem, **kwargs)
-    assert _same_bits(served.diagnostics.residuals,
-                      fresh.diagnostics.residuals)
-
-    if change == "grid":
-        kwargs["scan"] = shooting.default_scan(5, 2, num=41)
-    elif change == "class":
-        problem = AnnulusProblem(7, 2, 3.0, -0.3, 0.0)
-        kwargs["scan"] = shooting.ScanSpec(scan.lo, scan.hi, scan.num)
-    elif change == "c1":
-        problem = AnnulusProblem(5, 2, 3.0, -0.2, 0.0)
-    else:
-        kwargs["scan_" + change] = 1e-8
-    with pytest.raises(ValueError, match="another scan"):
-        shooting.solve_annulus(problem, _fan=fan, **kwargs)
+    tol = dict(scan_rtol=1e-7, scan_atol=1e-9)
+    probe = shooting._prober(5, 2, c1, 0.3, scan, *tol.values())
+    for R in (3.0, 1.2, 8.0):
+        served = probe(R)
+        fresh = shooting.solve_annulus(AnnulusProblem(5, 2, R, c1, 0.3),
+                                       scan=scan, polish=False, **tol)
+        assert _same_bits(served.diagnostics.residuals,
+                          fresh.diagnostics.residuals)
+        assert [s.xi0 for s in served] == [s.xi0 for s in fresh]
 
 
 @pytest.mark.parametrize("search", ["rstar", "bifurcation"])
@@ -389,11 +404,12 @@ def test_a_search_integrates_each_seed_from_zero_once(monkeypatch, search):
     # seed: each run resumes a seed where the last one left it, and every
     # accepted step moves it forward.  Each probe is one replay call.
     where, replays = {}, []
+    lane_loop = radial._lane_loop
 
     def counting(y0, t, *args, accepted=None, **kwargs):
         if args[3] != math.inf:
             replays.append(t.size)
-            return radial._lane_loop(y0, t, *args, **kwargs)
+            return lane_loop(y0, t, *args, **kwargs)
         for s, t_s in zip(y0[0].tolist(), t.tolist()):
             assert t_s == where.get(s, 0.0)
             where[s] = t_s
@@ -404,12 +420,12 @@ def test_a_search_integrates_each_seed_from_zero_once(monkeypatch, search):
                 where[s] = t_s
             accepted(i, t_i, *state)
 
-        return radial._lane_loop(y0, t, *args, accepted=chained, **kwargs)
+        return lane_loop(y0, t, *args, accepted=chained, **kwargs)
 
     def no_scan(*args, **kwargs):
         raise AssertionError("a probe integrated the scan grid afresh")
 
-    monkeypatch.setattr(shooting, "_lane_loop", counting)
+    monkeypatch.setattr(radial, "_lane_loop", counting)
     monkeypatch.setattr(shooting, "integrate_lanes", no_scan)
     if search == "rstar":
         scan = shooting.default_scan(5, 2, num=60)

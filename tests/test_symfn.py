@@ -344,6 +344,12 @@ def test_verify_axioms_accepts_sigma_roots():
         assert report["concavity"].max_violation <= 1e-5
 
 
+def test_verify_axioms_refuses_an_empty_sample_list():
+    # With no sample every check used to pass vacuously.
+    with pytest.raises(ValueError, match="at least one sample"):
+        symfn.verify_axioms(symfn.sigma_root(2, 4), [])
+
+
 def test_verify_axioms_flags_violations():
     rng = np.random.default_rng(7)
     samples = rng.lognormal(0.0, 0.4, size=(25, 3))
