@@ -383,7 +383,8 @@ _COMMANDS = {
         _cmd_build_f,
         "build a homogenized concave curvature function and check its axioms",
         [("n", int, ...), ("k", int, ...), ("alpha", float, 0.5),
-         ("count", int, 200), ("tol", float, 1e-8)]),
+         ("count", int, 200),
+         ("tol", float, 1e-8, {"help": "unread; echoed in config"})]),
     "verify": (
         _cmd_verify, "run library invariant suites",
         [("suite", None, "all", {"choices": sorted(_SUITES) + ["all"]}),

@@ -242,7 +242,7 @@ def integrate(
         y0 = (initial.xi, initial.xi_t)
     else:
         y0 = (float(initial[0]), float(initial[1]))
-    _check_args(y0[1], T_max, rtol, atol)
+    rtol = _check_args(y0[1], T_max, rtol, atol)
     accel = _clamped_accel(n, k)
 
     def rhs(t, y):
@@ -724,41 +724,35 @@ def _rms(a):
     return np.sqrt(a[0] * a[0] + a[1] * a[1]) / 2 ** 0.5
 
 
-def _initial_step(y, f, T, k, th, beta, rtol, atol):
-    """The starting step of scipy 1.17.1's RK45 (Hairer-Norsett-Wanner
-    II.4), per lane.
+def _lane_start(y0, n, k, rtol, atol):
+    """(f, h): the derivative and starting step of seeds y0 of shape (2, m).
+
+    The starting step is scipy 1.17.1's RK45 ``select_initial_step``
+    (Hairer-Norsett-Wanner II.4) for an unbounded span, per lane, so a
+    lane's steps depend on its seed alone until a trial reaches T, which
+    clips it.  scipy bounds its two trial step sizes by the span, so a
+    lane takes the steps of :func:`integrate` when T is at least both.
 
     ``np.where(b < a, b, a)`` is Python's ``min(a, b)`` and keeps its
     handling of nan, which ``np.minimum`` does not.
-    """
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-    h0 = np.where(T < h0, T, h0)
-    f1, _ = _lane_rhs(y + h0 * f, k, th, beta)
-    d2 = _rms((f1 - f) / scale) / h0
-    d12 = np.where(d2 > d1, d2, d1)
-    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
-                  np.where(h0 * 1e-3 > 1e-6, h0 * 1e-3, 1e-6),
-                  (0.01 / d12) ** (1 / 5))
-    h = np.where(h1 < 100 * h0, h1, 100 * h0)
-    return np.where(T < h, T, h)
-
-
-def _lane_start(y0, T, n, k, rtol, atol):
-    """(f, h): the derivative and starting step of seeds y0 of shape (2, m).
-
-    The starting step is bounded by T; with T = inf it is the step every
-    end time at or beyond both of scipy's trial sizes starts with.
     """
     th = theta_constant(n, k)
     beta = (n - 2.0 * k) / (2.0 * k)
     with np.errstate(all="ignore"):
         f, _ = _lane_rhs(y0, k, th, beta)
-        return f, _initial_step(y0, f, T, k, th, beta, rtol, atol)
+        scale = atol + np.abs(y0) * rtol
+        d0, d1 = _rms(y0 / scale), _rms(f / scale)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        f1, _ = _lane_rhs(y0 + h0 * f, k, th, beta)
+        d2 = _rms((f1 - f) / scale) / h0
+        d12 = np.where(d2 > d1, d2, d1)
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.where(h0 * 1e-3 > 1e-6, h0 * 1e-3, 1e-6),
+                      (0.01 / d12) ** (1 / 5))
+        return f, np.where(h1 < 100 * h0, h1, 100 * h0)
 
 
-def _endpoint_start(x, v, T, n, k, rtol, atol):
+def _endpoint_start(x, v, n, k, rtol, atol):
     """(a, h): xi_tt and the starting step of one seed, in Python floats.
 
     :func:`_lane_start` on a one-lane array, bit for bit (see
@@ -787,7 +781,6 @@ def _endpoint_start(x, v, T, n, k, rtol, atol):
         sx, sv = atol + abs(x) * rtol, atol + abs(v) * rtol
         d0, d1 = rms(div(x, sx), div(v, sv)), rms(div(v, sx), div(a, sv))
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        h0 = T if T < h0 else h0
         x1, v1 = x + h0 * v, v + h0 * a
         d2 = div(rms(div(v1 - v, sx), div(accel(x1, v1) - a, sv)), h0)
         d12 = d2 if d2 > d1 else d1
@@ -795,8 +788,7 @@ def _endpoint_start(x, v, T, n, k, rtol, atol):
             h1 = h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6
         else:
             h1 = float(np.asarray(div(0.01, d12)) ** (1 / 5))
-    h = h1 if h1 < 100 * h0 else 100 * h0
-    return a, T if T < h else h
+    return a, h1 if h1 < 100 * h0 else 100 * h0
 
 
 def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
@@ -894,7 +886,9 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
 def _check_args(xi_t0, T, rtol, atol):
     """Refuse an inadmissible slope, an end time not positive and finite
     (``T=None`` skips it), and a nan, infinite or negative tolerance,
-    which would shrink a nan step forever or fake an empty answer."""
+    which would shrink a nan step forever or fake an empty answer.
+    Returns rtol raised to 100 eps with a warning, as scipy's RK45 raises
+    it: at rtol = atol = 0 every trial step would be rejected."""
     with np.errstate(over="ignore"):  # a huge slope squares to inf
         admissible = np.all(1.0 - xi_t0 * xi_t0 > ETA_GUARD)
     if not admissible:
@@ -904,6 +898,10 @@ def _check_args(xi_t0, T, rtol, atol):
     if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):
         raise ValueError(f"rtol and atol must be finite and non-negative, "
                          f"got {rtol!r} and {atol!r}")
+    if rtol < 100 * _EPS:
+        warnings.warn(f"rtol {rtol!r} is below 100 eps; raising it to "
+                      "100 eps", stacklevel=3)
+    return max(rtol, float(100 * _EPS))
 
 
 def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
@@ -912,17 +910,20 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
 
     Each lane is one admissible seed (xi0, xi_t0) with its own step size,
     and runs the controller of :func:`integrate` (scipy 1.17.1's RK45, as
-    :func:`solve_ivp` ports it): the same tableau, starting step and RMS
-    error norm; safety factor 0.9, step factors clamped to [0.2, 10] and
-    no growth straight after a rejected trial; a nan error norm shrinks
-    the step by 0.2; a step below ten ulps of t fails.  After every
-    accepted step the ellipticity guard of :func:`integrate` is tested by
-    the sign of its values at the ends of the step, which is how
-    :func:`solve_ivp` detects events, so each lane stops where
-    ``integrate`` would.  The guard is positive at the start of a step,
-    so the test reads only its end.  Events are not located: a lane that
-    stops early reports nan for its state.  Finished lanes leave the
-    working arrays, so the cost per step follows the live lanes.
+    :func:`solve_ivp` ports it): the same tableau and RMS error norm;
+    safety factor 0.9, step factors clamped to [0.2, 10] and no growth
+    straight after a rejected trial; a nan error norm shrinks the step by
+    0.2; a step below ten ulps of t fails.  It starts with scipy's step
+    for an unbounded span (see :func:`_lane_start`), so its steps are
+    those of ``integrate`` when T is at least scipy's two trial step
+    sizes.  After every accepted step the ellipticity guard of
+    :func:`integrate` is tested by the sign of its values at the ends of
+    the step, which is how :func:`solve_ivp` detects events, so each lane
+    stops where ``integrate`` would.  The guard is positive at the start
+    of a step, so the test reads only its end.  Events are not located: a
+    lane that stops early reports nan for its state.  Finished lanes
+    leave the working arrays, so the cost per step follows the live
+    lanes.
 
     A lane's result does not depend on its batch: every operation is
     elementwise, and the stage sums are formed in tableau order, as
@@ -933,8 +934,8 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
     """
     shape = np.shape(xi0)
     y0 = np.array([np.ravel(xi0), np.ravel(xi_t0)], dtype=float)
-    _check_args(y0[1], T, rtol, atol)
-    f, h = _lane_start(y0, T, n, k, rtol, atol)
+    rtol = _check_args(y0[1], T, rtol, atol)
+    f, h = _lane_start(y0, n, k, rtol, atol)
     end, cause = _lane_loop(y0, np.zeros(y0.shape[1]), y0, f, h, T, n, k,
                             rtol, atol)
     termination = np.asarray(TERMINATIONS)[cause].reshape(shape)
@@ -951,27 +952,25 @@ class LaneFan:
     and the proposed next step.  The checkpoints go only as far as the
     largest T asked for so far, and are extended from there.
 
-    A lane integrated to T takes the same steps until its first trial
-    that would pass T.  Trial steps from a checkpoint only shrink after
-    the first, whose size is the checkpoint's step, so the lane to T
-    passes through the first checkpoint whose first trial reaches T.
-    :meth:`end_states` restarts each lane there and takes the last step
-    or two on the same loop.  The exception is a T that changes the
-    starting step, which bounds its trial steps by T: such a lane
-    restarts from t = 0 with the starting step for T.  Either way the
-    state at T is bit for bit the one :func:`integrate_lanes` gives,
+    A lane starts with the step of an unbounded span whatever its end
+    time (see :func:`_lane_start`), so a lane integrated to T takes the
+    same steps until its first trial that would pass T.  Trial steps from
+    a checkpoint only shrink after the first, whose size is the
+    checkpoint's step, so the lane to T passes through the first
+    checkpoint whose first trial reaches T.  :meth:`end_states` replays
+    each lane from there, taking the last step or two on the same loop,
+    which gives bit for bit the state at T of :func:`integrate_lanes`,
     since a lane's steps do not depend on its batch.
     """
 
     def __init__(self, xi0, xi_t0, n: int, k: int, *, rtol: float = 1e-10,
                  atol: float = 1e-12):
         self.seeds = np.array([np.ravel(xi0), np.ravel(xi_t0)], dtype=float)
-        _check_args(self.seeds[1], None, rtol, atol)
+        rtol = _check_args(self.seeds[1], None, rtol, atol)
         self.n, self.k, self.rtol, self.atol = n, k, rtol, atol
         m = self.seeds.shape[1]
-        f0, self._h0 = _lane_start(self.seeds, math.inf, n, k, rtol, atol)
-        self._parts = [(np.arange(m), np.zeros(m), self.seeds, f0,
-                        self._h0)]
+        f0, h0 = _lane_start(self.seeds, n, k, rtol, atol)
+        self._parts = [(np.arange(m), np.zeros(m), self.seeds, f0, h0)]
         self._front = np.arange(m)  # lanes still going
         self._frontier = 0.0
         self._merge()
@@ -1015,23 +1014,17 @@ class LaneFan:
         _check_args(self.seeds[1], T, self.rtol, self.atol)
         if T > self._frontier:
             self._extend(T)
-        _, h_T = _lane_start(self.seeds, T, self.n, self.k, self.rtol,
-                             self.atol)
         # Each lane replays from the first checkpoint whose first trial
-        # reaches T, or from t = 0 when T changes its starting step; a
-        # lane with neither broke down before T.  Where T keeps the
-        # starting step, a replay from t = 0 is the fresh start.
+        # reaches T; a lane with none broke down before T.
         count = self._t.size
         hits = np.where(self._reach >= T, np.arange(count), count)
         first = np.minimum.reduceat(hits, self._first)
-        restart = h_T != self._h0
-        go = np.flatnonzero(restart | (first < count))
-        at = np.where(restart, self._first, first)[go]
-        h = np.where(restart[go], h_T[go], self._h[at])
+        go = np.flatnonzero(first < count)
+        at = first[go]
         end = np.full(self.seeds.shape, math.nan)
         end[:, go], _ = _lane_loop(
             self.seeds[:, go], self._t[at], self._y[:, at], self._f[:, at],
-            h, T, self.n, self.k, self.rtol, self.atol)
+            self._h[at], T, self.n, self.k, self.rtol, self.atol)
         return end
 
 
@@ -1042,9 +1035,11 @@ def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
     For a single seed, numpy's per-operation cost outweighs the step
     itself, so root refinement, which asks for one seed at a time, takes
     its steps here.  The contract is that of a lane: the same tableau,
-    controller, starting step, nan-norm shrink, ten-ulp step failure and
-    ellipticity test on accepted steps, and nan for the state when the
-    seed stops early.  The two agree to rounding.
+    scipy's controller and its unbounded-span starting step (hence the
+    steps of :func:`integrate` when T is at least scipy's two trial step
+    sizes), nan-norm shrink, ten-ulp step failure and ellipticity test
+    on accepted steps, and nan for the state when the seed stops early.
+    The two agree to rounding.
 
     The starting step is a lane's bit for bit: :func:`_endpoint_start` is
     the float twin of the lanes' start.  Three of its operations still go
@@ -1058,9 +1053,9 @@ def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
     """
     x0 = x = float(xi0)
     v0 = v = float(xi_t0)
-    _check_args(v, T, rtol, atol)
+    rtol = _check_args(v, T, rtol, atol)
     accel = _clamped_accel(n, k)
-    a, h = _endpoint_start(x, v, T, n, k, rtol, atol)
+    a, h = _endpoint_start(x, v, n, k, rtol, atol)
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _DP_A
     b1, _, b3, b4, b5, b6 = _DP_B

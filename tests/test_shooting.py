@@ -320,6 +320,23 @@ def test_solve_annulus_refuses_a_nan_tolerance(name):
         shooting.solve_annulus(problem, **{name: math.nan})
 
 
+def test_solve_annulus_at_zero_tolerances_finds_the_default_solution():
+    # Zero tolerances used to end every seed as a step failure and report
+    # "empty".  An rtol below 100 eps is raised to it; a zero atol stays.
+    # c1 is nonzero because a seed with a zero slope still has a zero
+    # error scale at atol = 0, and a nan starting step: a separate fault.
+    problem = AnnulusProblem(5, 2, 5.0, -0.3, 0.3)
+    scan = shooting.default_scan(5, 2, num=20)
+    want = shooting.solve_annulus(problem, scan=scan)
+    with pytest.warns(UserWarning, match="rtol"):
+        got = shooting.solve_annulus(problem, scan=scan, scan_rtol=0.0,
+                                     scan_atol=0.0, rtol=0.0, atol=0.0)
+    assert got.status == want.status == "ok"
+    assert len(got) == len(want) == 1
+    assert got.solutions[0].xi0 == pytest.approx(want.solutions[0].xi0,
+                                                 abs=1e-10)
+
+
 def test_find_r_star_refuses_a_nan_scan_tolerance():
     with pytest.raises(ValueError, match="rtol"):
         shooting.find_r_star(5, 2, -0.3, 0.0, scan_rtol=math.nan)
@@ -361,22 +378,21 @@ def test_fan_reads_equal_fresh_scans(n, k, tol):
                               _lanes_at(seeds, T, n, k, tol))
 
 
-def test_fan_restarts_a_lane_whose_starting_step_depends_on_T():
+def test_a_lane_to_a_short_T_starts_with_the_unbounded_step():
     # For seed 22 of this grid, scipy's starting step is about 0.0058585
-    # with no end time, but bounding its first trial by T = ln 1.00591
-    # changes it, although it stays below T, and with it the state at T.
-    # The fan must start that lane afresh.
+    # with no end time, below T = ln 1.00591, but bounding scipy's first
+    # trial by T would change it, and with it the state at T.  A lane
+    # starts with the unbounded step whatever T is, so the fan reads it
+    # from the same checkpoints as any other T.
     n, k, c1, tol = 7, 2, -0.6, (1e-9, 1e-11)
     grid = shooting.default_scan(n, k, num=41).grid
     R = 1.00591
     T = math.log(R)
     seed = np.array([grid[22:23], c1 * np.exp(-grid[22:23])])
-    f, h_free = radial._lane_start(seed, math.inf, n, k, *tol)
-    _, h_T = radial._lane_start(seed, T, n, k, *tol)
-    assert h_free[0] < T and h_T[0] != h_free[0]
-    ends = [radial._lane_loop(seed, np.zeros(1), seed, f, h, T, n, k, *tol)[0]
-            for h in (h_free, h_T)]
-    assert not _same_bits(*ends)
+    f, h = radial._lane_start(seed, n, k, *tol)
+    assert h[0] < T
+    want, _ = radial._lane_loop(seed, np.zeros(1), seed, f, h, T, n, k, *tol)
+    assert _same_bits(_lanes_at(seed, T, n, k, tol), want)
 
     fan, seeds = _fan_of(grid, n, k, c1, tol)
     for T in (math.log(3.0), math.log(R)):
