@@ -224,12 +224,14 @@ def integrate(
 
     ``initial`` is a RadialState or an (xi, xi_t) pair at t = 0 and must be
     admissible, T_max must be positive and finite, and rtol and atol
-    finite and non-negative.  The steps are those of scipy 1.17.1's RK45
-    (see :func:`solve_ivp`).  The built-in terminal event is ellipticity
-    breakdown (1 - xi_t^2 falls to the guard).  ``extra_events`` are
-    passed through to :func:`solve_ivp` (scipy's event protocol); each
-    must be terminal, and stopping at one gives termination cause
-    ``event:<index>``.
+    finite and non-negative, atol positive if a component of the seed is
+    0: that component would have no error scale, and the starting step
+    would be nan, which the controller shrinks forever.  The steps are
+    those of scipy 1.17.1's RK45 (see :func:`solve_ivp`).  The built-in
+    terminal event is ellipticity breakdown (1 - xi_t^2 falls to the
+    guard).  ``extra_events`` are passed through to :func:`solve_ivp`
+    (scipy's event protocol); each must be terminal, and stopping at one
+    gives termination cause ``event:<index>``.
 
     For k >= 2 the right-hand side has a pole on the degenerate set, so
     adaptive steps can underflow slightly before the guard event becomes
@@ -243,6 +245,9 @@ def integrate(
     else:
         y0 = (float(initial[0]), float(initial[1]))
     rtol = _check_args(y0[1], T_max, rtol, atol)
+    if atol == 0.0 and 0.0 in y0:
+        raise ValueError("atol must be positive for a seed with a zero "
+                         "component")
     accel = _clamped_accel(n, k)
 
     def rhs(t, y):
@@ -687,20 +692,16 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=()):
                      status=status, nfev=nfev)
 
 
-
-def _lane_rhs(y, k, th, beta, out=None):
-    """The clamped right-hand side of :func:`integrate` on (2, m) states.
-
-    Returns (f, w): the derivative, written into ``out`` when given, and
-    the clamped 1 - xi_t^2.
+def _lane_rhs(y, k, th, beta, out):
+    """The clamped right-hand side of :func:`integrate` on (2, m) states,
+    written into ``out``.  Returns the clamped 1 - xi_t^2.
     """
     v = np.where(np.abs(y[1]) < 1e150, y[1], 1e150)
     w = np.maximum(1.0 - v * v, 1e-30)
     growth = np.exp(np.minimum(-2.0 * k * y[0], 700.0))
-    f = np.empty_like(y) if out is None else out
-    f[0] = y[1]
-    f[1] = th * growth * w ** (1 - k) - beta * w
-    return f, w
+    out[0] = y[1]
+    out[1] = th * growth * w ** (1 - k) - beta * w
+    return w
 
 
 def _weighted_sum(weights, K, out, term):
@@ -724,71 +725,47 @@ def _rms(a):
     return np.sqrt(a[0] * a[0] + a[1] * a[1]) / 2 ** 0.5
 
 
-def _lane_start(y0, n, k, rtol, atol):
-    """(f, h): the derivative and starting step of seeds y0 of shape (2, m).
+def _start(x, v, accel, rtol, atol):
+    """(a, h): xi_tt and the starting step of the seed (x, v).
 
-    The starting step is scipy 1.17.1's RK45 ``select_initial_step``
-    (Hairer-Norsett-Wanner II.4) for an unbounded span, per lane, so a
-    lane's steps depend on its seed alone until a trial reaches T, which
-    clips it.  scipy bounds its two trial step sizes by the span, so a
-    lane takes the steps of :func:`integrate` when T is at least both.
-
-    ``np.where(b < a, b, a)`` is Python's ``min(a, b)`` and keeps its
-    handling of nan, which ``np.minimum`` does not.
+    scipy 1.17.1's RK45 ``select_initial_step`` (Hairer-Norsett-Wanner
+    II.4) for an unbounded span, with ``accel`` from
+    :func:`_clamped_accel` and the RMS norm of the lanes.  It does not
+    depend on the end time, so a lane's steps depend on its seed alone
+    until a trial reaches T, which clips it.  scipy bounds its two trial
+    step sizes by the span, so a lane takes the steps of :func:`integrate`
+    when T is at least both.  Each comparison treats nan as scipy's
+    Python ``min`` and ``max`` do.
     """
-    th = theta_constant(n, k)
-    beta = (n - 2.0 * k) / (2.0 * k)
-    with np.errstate(all="ignore"):
-        f, _ = _lane_rhs(y0, k, th, beta)
-        scale = atol + np.abs(y0) * rtol
-        d0, d1 = _rms(y0 / scale), _rms(f / scale)
-        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-        f1, _ = _lane_rhs(y0 + h0 * f, k, th, beta)
-        d2 = _rms((f1 - f) / scale) / h0
-        d12 = np.where(d2 > d1, d2, d1)
-        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
-                      np.where(h0 * 1e-3 > 1e-6, h0 * 1e-3, 1e-6),
-                      (0.01 / d12) ** (1 / 5))
-        return f, np.where(h1 < 100 * h0, h1, 100 * h0)
-
-
-def _endpoint_start(x, v, n, k, rtol, atol):
-    """(a, h): xi_tt and the starting step of one seed, in Python floats.
-
-    :func:`_lane_start` on a one-lane array, bit for bit (see
-    :func:`integrate_endpoint`): the same expressions in the same order,
-    ``np.where`` selections as conditionals that treat nan alike, and
-    numpy's inf or nan where a float division would raise.
-    """
-    th = theta_constant(n, k)
-    beta = (n - 2.0 * k) / (2.0 * k)
-
-    def div(p, q):
-        return p / q if q else float(np.float64(p) / q)
-
-    def accel(x, v):  # the second row of _lane_rhs
-        if not abs(v) < 1e150:
-            v = 1e150
-        w = max(1.0 - v * v, 1e-30)
-        growth = float(np.exp(min(-2.0 * k * x, 700.0)))
-        return th * growth * float(np.asarray(w) ** (1 - k)) - beta * w
+    def div(p, q):  # numpy's inf or nan where q is 0
+        if q:
+            return p / q
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(p) / q)
 
     def rms(p, q):
         return math.sqrt(p * p + q * q) / 2 ** 0.5
 
-    with np.errstate(all="ignore"):
-        a = accel(x, v)
-        sx, sv = atol + abs(x) * rtol, atol + abs(v) * rtol
-        d0, d1 = rms(div(x, sx), div(v, sv)), rms(div(v, sx), div(a, sv))
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        x1, v1 = x + h0 * v, v + h0 * a
-        d2 = div(rms(div(v1 - v, sx), div(accel(x1, v1) - a, sv)), h0)
-        d12 = d2 if d2 > d1 else d1
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6
-        else:
-            h1 = float(np.asarray(div(0.01, d12)) ** (1 / 5))
+    a = accel(x, v)
+    sx, sv = atol + abs(x) * rtol, atol + abs(v) * rtol
+    d0, d1 = rms(div(x, sx), div(v, sv)), rms(div(v, sx), div(a, sv))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    x1, v1 = x + h0 * v, v + h0 * a
+    d2 = div(rms(div(v1 - v, sx), div(accel(x1, v1) - a, sv)), h0)
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6
+    else:
+        h1 = div(0.01, d2 if d2 > d1 else d1) ** (1 / 5)
     return a, h1 if h1 < 100 * h0 else 100 * h0
+
+
+def _lane_start(y0, n, k, rtol, atol):
+    """(f, h): the derivatives and starting steps of seeds y0 of shape
+    (2, m), each seed's from :func:`_start`."""
+    accel = _clamped_accel(n, k)
+    starts = [_start(x, v, accel, rtol, atol) for x, v in zip(*y0.tolist())]
+    a, h = np.array(starts, dtype=float).reshape(-1, 2).T
+    return np.array([y0[1], a]), h
 
 
 def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
@@ -838,7 +815,7 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
             _weighted_sum(_DP_B, K, acc, term)
             acc *= h
             y_new = y + acc
-            _, w = _lane_rhs(y_new, k, th, beta, out=K[6])
+            w = _lane_rhs(y_new, k, th, beta, out=K[6])
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             _weighted_sum(_DP_E, K, acc, term)
             acc *= h
@@ -913,9 +890,10 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
     :func:`solve_ivp` ports it): the same tableau and RMS error norm;
     safety factor 0.9, step factors clamped to [0.2, 10] and no growth
     straight after a rejected trial; a nan error norm shrinks the step by
-    0.2; a step below ten ulps of t fails.  It starts with scipy's step
-    for an unbounded span (see :func:`_lane_start`), so its steps are
-    those of ``integrate`` when T is at least scipy's two trial step
+    0.2; a step below ten ulps of t fails.  Each seed starts from
+    :func:`_start`, scipy's step for an unbounded span, as
+    :func:`integrate_endpoint` and :class:`LaneFan` start, so its steps
+    are those of ``integrate`` when T is at least scipy's two trial step
     sizes.  After every accepted step the ellipticity guard of
     :func:`integrate` is tested by the sign of its values at the ends of
     the step, which is how :func:`solve_ivp` detects events, so each lane
@@ -952,10 +930,10 @@ class LaneFan:
     and the proposed next step.  The checkpoints go only as far as the
     largest T asked for so far, and are extended from there.
 
-    A lane starts with the step of an unbounded span whatever its end
-    time (see :func:`_lane_start`), so a lane integrated to T takes the
-    same steps until its first trial that would pass T.  Trial steps from
-    a checkpoint only shrink after the first, whose size is the
+    A lane starts from :func:`_start`, the step of an unbounded span,
+    whatever its end time, so a lane integrated to T takes the same steps
+    until its first trial that would pass T.  Trial steps from a
+    checkpoint only shrink after the first, whose size is the
     checkpoint's step, so the lane to T passes through the first
     checkpoint whose first trial reaches T.  :meth:`end_states` replays
     each lane from there, taking the last step or two on the same loop,
@@ -1039,15 +1017,9 @@ def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
     steps of :func:`integrate` when T is at least scipy's two trial step
     sizes), nan-norm shrink, ten-ulp step failure and ellipticity test
     on accepted steps, and nan for the state when the seed stops early.
-    The two agree to rounding.
-
-    The starting step is a lane's bit for bit: :func:`_endpoint_start` is
-    the float twin of the lanes' start.  Three of its operations still go
-    through numpy, whose results the float ones do not reproduce: the
-    exponential (``math.exp`` is another implementation), the pole
-    ``w ** (1 - k)`` and the ``** (1 / 5)`` of the step size (numpy's
-    array power takes a reciprocal for exponent -1, and otherwise runs
-    its own loop, not libm's ``pow``).
+    It starts exactly as a lane does, from :func:`_start`; its steps
+    agree with a lane's to rounding, since ``math.exp`` and Python's
+    ``**`` round unlike numpy's.
 
     Returns (xi, xi_t, termination): floats and one of ``TERMINATIONS``.
     """
@@ -1055,7 +1027,7 @@ def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
     v0 = v = float(xi_t0)
     rtol = _check_args(v, T, rtol, atol)
     accel = _clamped_accel(n, k)
-    a, h = _endpoint_start(x, v, n, k, rtol, atol)
+    a, h = _start(x, v, accel, rtol, atol)
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _DP_A
     b1, _, b3, b4, b5, b6 = _DP_B

@@ -298,7 +298,7 @@ def solve_annulus(
     The radius searches pass ``_residuals``, the scan residuals read from
     the :class:`radial.LaneFan` of their grid (see :func:`_prober`), so
     the grid is not integrated again.  A single solve scans afresh:
-    building a fan to read it once costs about 15% more.
+    building a fan to read it once costs about 13% more.
 
     The four tolerances must be finite and non-negative: a nan one would
     make every seed unevaluable and the answer a false ``empty``.

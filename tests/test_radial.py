@@ -355,22 +355,44 @@ _START_CLASSES = [(3, 1), (4, 2), (5, 2), (6, 3), (7, 2), (7, 3), (10, 4),
                   (12, 12), (25, 12), (30, 14), (40, 14)]
 
 
-@pytest.mark.parametrize("rtol,atol", [(1e-7, 1e-9), (1e-10, 1e-12)])
-def test_float_start_equals_lane_start_bit_for_bit(rtol, atol):
-    # integrate_endpoint starts in Python floats; refinement keeps its
-    # bits only if that start is the lanes' start exactly.  math.exp, or
-    # Python's ** for the pole, would miss on some of these draws.
+def _start_draws():
+    """(n, k, xs, vs) per class of _START_CLASSES: seeds of every slope,
+    some next to the degenerate set, and some with overflowing
+    exponentials."""
     rng = np.random.default_rng(20261018)
     for n, k in _START_CLASSES:
         xs = np.concatenate([rng.uniform(-6.0, 6.0, 40),
                              rng.uniform(-400.0, 400.0, 10)])
         vs = rng.uniform(-1.0, 1.0, 50) * (1.0 - 10.0 ** rng.uniform(
             -12.0, 0.0, 50))
-        for x, v in zip(xs.tolist(), vs.tolist()):
-            f, h = radial._lane_start(np.array([[x], [v]]), n, k, rtol, atol)
-            a, h1 = radial._endpoint_start(x, v, n, k, rtol, atol)
-            assert a.hex() == float(f[1, 0]).hex(), (n, k, x, v)
-            assert h1.hex() == float(h[0]).hex(), (n, k, x, v)
+        yield n, k, xs, vs
+
+
+@pytest.mark.parametrize("rtol,atol", [(1e-7, 1e-9), (1e-10, 1e-12)])
+def test_float_start_equals_lane_start_bit_for_bit(rtol, atol):
+    # integrate_endpoint starts from _start, and the lanes from _start
+    # seed by seed, so a lane's start does not depend on its batch.
+    for n, k, xs, vs in _start_draws():
+        f, h = radial._lane_start(np.array([xs, vs]), n, k, rtol, atol)
+        accel = radial._clamped_accel(n, k)
+        for i, (x, v) in enumerate(zip(xs.tolist(), vs.tolist())):
+            a, h1 = radial._start(x, v, accel, rtol, atol)
+            assert float(f[0, i]).hex() == v.hex()
+            assert a.hex() == float(f[1, i]).hex(), (n, k, x, v)
+            assert h1.hex() == float(h[i]).hex(), (n, k, x, v)
+
+
+@pytest.mark.parametrize("seed", [(0.5, 0.0), (0.0, 0.5)])
+def test_zero_atol_is_refused_for_a_seed_with_a_zero_component(seed):
+    # The component's error scale is 0, so scipy's starting step is nan,
+    # which its controller shrinks forever.  A lane and the float stepper
+    # end such a seed at once.
+    with pytest.raises(ValueError):
+        radial.integrate(seed, 1.0, 5, 2, atol=0.0)
+    _, _, (cause,) = radial.integrate_lanes(*([v] for v in seed), 1.0, 5, 2,
+                                            atol=0.0)
+    got = radial.integrate_endpoint(*seed, 1.0, 5, 2, atol=0.0)
+    assert got[2] == cause == "step_failure"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

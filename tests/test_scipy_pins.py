@@ -15,7 +15,9 @@ import pytest
 
 pytest.importorskip("scipy", minversion="1.17")
 from scipy.integrate import solve_ivp as scipy_solve_ivp  # noqa: E402
+from scipy.integrate._ivp.common import select_initial_step  # noqa: E402
 from scipy.optimize import brentq as scipy_brentq  # noqa: E402
+from test_radial import _start_draws  # noqa: E402
 
 from syl import radial, shooting  # noqa: E402
 
@@ -97,6 +99,24 @@ def test_counterexample_events_match_scipy_bit_for_bit(pinned):
                                 (10, 4, -3.0, 0.25, [1e-6, 1e-3])]:
         shooting.counterexample_sweep(n, k, c, delta, eps)
     assert pinned.count(1) == len(pinned) == 6
+
+
+@pytest.mark.parametrize("rtol,atol", [(1e-7, 1e-9), (1e-10, 1e-12)])
+def test_start_is_scipys_step_for_an_unbounded_span(rtol, atol):
+    # The norms differ: scipy's np.linalg.norm against the lanes' sqrt.
+    for n, k, xs, vs in _start_draws():
+        accel = radial._clamped_accel(n, k)
+
+        def fun(t, y):
+            return np.array([y[1], accel(y[0], y[1])])
+
+        for x, v in zip(xs.tolist(), vs.tolist()):
+            y0 = np.array([x, v])
+            with np.errstate(all="ignore"):  # inf stages of far seeds
+                want = select_initial_step(fun, 0.0, y0, math.inf, math.inf,
+                                           fun(0.0, y0), 1, 4, rtol, atol)
+            _, h = radial._start(x, v, accel, rtol, atol)
+            assert math.isclose(h, want, rel_tol=1e-12), (n, k, x, v)
 
 
 def test_solve_ivp_refuses_events_it_does_not_port():
