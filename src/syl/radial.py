@@ -130,12 +130,27 @@ def ode_rhs(xi, xi_t, n: int, k: int, theta: float | None = None):
     """Second derivative xi_tt prescribed by the radial ODE.
 
     Pure evaluation: callers own the ellipticity guard.  Vectorizes over
-    (xi, xi_t) arrays.
+    (xi, xi_t) arrays.  For k >= 12 the pole (1-xi_t^2)^(1-k) can
+    overflow while 1-xi_t^2 > 0 (k >= 27 inside the guard), and e^{-2k xi}
+    can underflow to 0; where both happen the product is taken as
+    exp(min(-2k xi + (1-k) ln(1-xi_t^2), 700)), as the lanes take it,
+    instead of 0 * inf = nan.
     """
     th = theta_constant(n, k) if theta is None else theta
+    xi = np.asarray(xi, dtype=float)
     w = 1.0 - np.asarray(xi_t, dtype=float) ** 2
-    out = th * np.exp(-2.0 * k * np.asarray(xi, dtype=float)) * w ** (1 - k) \
-        - (n - 2.0 * k) / (2.0 * k) * w
+    beta = (n - 2.0 * k) / (2.0 * k)
+    if k < 12:
+        out = th * np.exp(-2.0 * k * xi) * w ** (1 - k) - beta * w
+        return float(out) if np.ndim(out) == 0 else out
+    with np.errstate(over="ignore", invalid="ignore"):  # mended below
+        growth, pole = np.exp(-2.0 * k * xi), w ** (1 - k)
+        out = th * growth * pole - beta * w
+    lost = (pole == np.inf) & (growth == 0.0) & (w > 0.0)
+    if lost.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(lost, th * np.exp(np.minimum(
+                -2.0 * k * xi + (1 - k) * np.log(w), 700.0)) - beta * w, out)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -305,8 +320,12 @@ def _clamped_accel(n, k):
     out; clamping the inputs keeps the evaluation finite, so the error
     estimator rejects the step instead of raising or warning.  Where
     (1 - xi_t^2)^(1-k) overflows a float (k >= 12 near the degenerate
-    set) it is taken as inf, the value numpy gives the lanes.  The
-    scalar twin of the second row of :func:`_lane_rhs`.
+    set) it is taken as inf, the value numpy gives the lanes, and where
+    e^{-2k xi} is then 0 and 1 - xi_t^2 was not clamped, the product is
+    taken in log form, as :func:`_large_k_rhs` takes it.  A clamped trial
+    keeps its nan, so that the step is rejected.  For k <= 11 the pole
+    of a clamped state cannot overflow, and the closure has no such
+    branch.  The scalar twin of the second row of :func:`_lane_rhs`.
     """
     th = theta_constant(n, k)
     beta = (n - 2.0 * k) / (2.0 * k)
@@ -328,7 +347,17 @@ def _clamped_accel(n, k):
             pole = math.inf
         return th * exp(e) * pole - beta * w
 
-    return accel
+    def large_k(x, v):
+        # With w unclamped, accel is nan only as 0 * inf: the pole is inf
+        # (caught OverflowError for floats, inf for numpy scalars) where
+        # exp(e) underflowed.
+        a = accel(x, v)
+        w = 1.0 - v * v
+        if a == a or not w > 1e-30:
+            return a
+        return th * exp(min(c * x + p * math.log(w), 700.0)) - beta * w
+
+    return accel if k < 12 else large_k
 
 
 def _certified_breakdown(xi0, xi_t0, xi_t_last, n, k):
@@ -704,19 +733,35 @@ def _lane_rhs(y, k, th, beta, out):
     return w
 
 
-def _weighted_sum(weights, K, out, term):
-    """sum_j c_j * K[j] over the nonzero weights c_j, into ``out``;
-    ``term`` is scratch shaped like ``out``.  Every tableau row starts
-    with a nonzero weight.
+def _large_k_rhs(y, k, th, beta, out):
+    """:func:`_lane_rhs` for k >= 12, where the pole can overflow.
+
+    Where w = 1 - xi_t^2 was not clamped, a nan is 0 * inf: e^{-2k xi}
+    underflowed where the pole overflowed.  Those entries take the
+    product in log form, as :func:`_clamped_accel` does; clamped trials
+    keep their nan, so that the step is rejected.
+    """
+    w = _lane_rhs(y, k, th, beta, out)
+    lost = np.isnan(out[1]) & (w > 1e-30)
+    if lost.any():
+        out[1, lost] = th * np.exp(np.minimum(
+            -2.0 * k * y[0, lost] + (1 - k) * np.log(w[lost]), 700.0)) \
+            - beta * w[lost]
+    return w
+
+
+def _stage_sum(weights, K):
+    """A new array sum_j c_j * K[j] over the nonzero weights c_j of a
+    tableau row, whose first weight is nonzero.
 
     Elementwise and added in tableau order, as integrate_endpoint adds;
     a matrix product would round differently for different batch widths.
     """
-    np.multiply(K[0], weights[0], out=out)
+    total = K[0] * weights[0]
     for j in range(1, len(weights)):
         if weights[j]:
-            out += np.multiply(K[j], weights[j], out=term)
-    return out
+            total += K[j] * weights[j]
+    return total
 
 
 def _rms(a):
@@ -780,8 +825,12 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
     After every round, ``accepted(i, t, y, f, h)`` receives the lanes i
     that accepted a step and go on, with their new states.
 
-    Every operation is elementwise and in a fixed order, so a lane takes
-    the same steps whatever other lanes share its batch.
+    Each stage state is y plus h times the :func:`_stage_sum` of the
+    stage derivatives before it, and the error estimate is the
+    ``_DP_E`` sum over all seven; those derivatives, K, are the loop's
+    only scratch, and shrink with the live lanes.  Every operation is
+    elementwise and in a fixed order, so a lane takes the same steps
+    whatever other lanes share its batch.
 
     Returns (end, cause): the (2, m) state at T, nan unless the lane
     reached it, and per lane an index into ``TERMINATIONS``, or -1 for a
@@ -794,7 +843,8 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
     cause = np.full(m, -1)
     lane = np.arange(m)
     rejected = np.zeros(m, dtype=bool)
-    K, acc, term = np.empty((7, 2, m)), np.empty((2, m)), np.empty((2, m))
+    K = np.empty((7, 2, m))
+    rhs = _lane_rhs if k < 12 else _large_k_rhs
 
     with np.errstate(all="ignore"):
         while lane.size:
@@ -808,19 +858,11 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
 
             K[0] = f
             for s, row in enumerate(_DP_A, start=1):
-                _weighted_sum(row, K, acc, term)
-                acc *= h
-                acc += y
-                _lane_rhs(acc, k, th, beta, out=K[s])
-            _weighted_sum(_DP_B, K, acc, term)
-            acc *= h
-            y_new = y + acc
-            w = _lane_rhs(y_new, k, th, beta, out=K[6])
+                rhs(y + _stage_sum(row, K) * h, k, th, beta, out=K[s])
+            y_new = y + _stage_sum(_DP_B, K) * h
+            w = rhs(y_new, k, th, beta, out=K[6])
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            _weighted_sum(_DP_E, K, acc, term)
-            acc *= h
-            acc /= scale
-            err = _rms(acc)
+            err = _rms(_stage_sum(_DP_E, K) * h / scale)
 
             accept = (err < 1.0) & ~leave
             power = _SAFETY * err ** _ERROR_EXPONENT
@@ -854,9 +896,7 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
                 lane, y, f, h, t, rejected = (
                     lane[live], y[:, live], f[:, live], h[live], t[live],
                     rejected[live])
-                m = lane.size
-                K, acc, term = (np.empty((7, 2, m)), np.empty((2, m)),
-                                np.empty((2, m)))
+                K = np.empty((7, 2, lane.size))
     return end, cause
 
 

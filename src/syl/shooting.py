@@ -301,13 +301,16 @@ def solve_annulus(
     building a fan to read it once costs about 13% more.
 
     The four tolerances must be finite and non-negative: a nan one would
-    make every seed unevaluable and the answer a false ``empty``.
+    make every seed unevaluable and the answer a false ``empty``.  For
+    the same reason ``scan_atol`` and ``atol`` must be positive when
+    c1 = 0 (see :func:`_check_zero_slope_atol`).
     """
     for name, tol in (("scan_rtol", scan_rtol), ("scan_atol", scan_atol),
                       ("rtol", rtol), ("atol", atol)):
         if not 0.0 <= tol < math.inf:
             raise ValueError(f"{name} must be finite and non-negative, "
                              f"got {tol!r}")
+    _check_zero_slope_atol(problem.c1, scan_atol=scan_atol, atol=atol)
     if scan is None:
         scan = default_scan(problem.n, problem.k)
     grid = scan.grid
@@ -384,6 +387,15 @@ def _check_positive(**values):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, "
                              f"got {value!r}")
+
+
+def _check_zero_slope_atol(c1, **atols):
+    """Refuse a zero absolute tolerance at c1 = 0.  Every inner slope is
+    then 0, so no seed has an error scale in its slope: each ends as a
+    step failure, and the answer would be a false ``empty``."""
+    for name, atol in atols.items():
+        if c1 == 0.0 and atol == 0.0:
+            raise ValueError(f"{name} must be positive when c1 = 0")
 
 
 def _prober(n, k, c1, c2, scan, scan_rtol, scan_atol):
@@ -482,6 +494,7 @@ def find_r_star(
     if math.ceil(probes) > MAX_GROWTH_PROBES:
         raise ValueError(f"growth {growth!r} needs {math.ceil(probes)} "
                          f"probes to reach R_max, over {MAX_GROWTH_PROBES}")
+    _check_zero_slope_atol(c1, scan_atol=scan_atol)
     if scan is None:
         scan = default_scan(n, k)
     probe = _prober(n, k, c1, c2, scan, scan_rtol, scan_atol)
@@ -560,6 +573,7 @@ def verify_bifurcation(
     if not 0.0 < span < 1.0:
         raise ValueError(f"span must lie in (0, 1), got {span!r}")
     _check_positive(rel_tol=rel_tol)
+    _check_zero_slope_atol(0.0, scan_atol=scan_atol)
     thr = bifurcation_threshold(n, k)
     xi_c = cylinder_solution(n, k)[0]
     probe = _prober(n, k, 0.0, 0.0, ScanSpec(xi_c - window, xi_c + window,

@@ -107,6 +107,15 @@ def test_solve_annulus_command_finds_the_equilibrium(capsys):
     assert doc["diagnostics"]["n_brackets"] >= 1
 
 
+def test_large_k_solve_annulus_command_ends_quickly(capsys, deadline):
+    # It used to run for minutes, each lane crawling at an overflowing pole.
+    with deadline(5):
+        code, doc = _run_json(capsys, ["solve-annulus", "--n", "35", "--k",
+                                       "28", "--R", "1e20"])
+    assert code == 0
+    assert doc["status"] == "empty"
+
+
 def test_counterexample_command_rows_and_artifacts(capsys, tmp_path):
     out_dir = tmp_path / "artifacts"
     code, doc = _run_json(capsys, [

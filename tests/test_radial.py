@@ -337,6 +337,62 @@ def test_integrate_ends_like_a_lane_where_the_pole_overflows(seed, T, n, k,
     assert traj.termination == cause == want
 
 
+LARGE_K_SEED = (10.0, 3.0e-6 * math.exp(-10.0))
+
+
+def test_large_k_breakdown_follows_the_tanh_closed_form(deadline):
+    # For k >= 27 the pole overflows inside the guard while e^{-2k xi}
+    # underflows, and 0 * inf = nan made the stepper crawl.  For k > n/2
+    # and large xi the theta term is negligible: xi_tt = g (1 - xi_t^2)
+    # with g = (2k - n)/(2k), so xi_t = tanh(g t + artanh xi_t0) falls to
+    # the guard 1 - xi_t^2 = 1e-12 at t_b below.
+    n, k = 35, 28
+    g = (2 * k - n) / (2 * k)
+    t_b = (math.acosh(1e6) - math.atanh(LARGE_K_SEED[1])) / g
+    assert t_b == pytest.approx(38.690, abs=1e-3)
+    with deadline(10):
+        traj = radial.integrate(LARGE_K_SEED, 45.0, n, k)
+        assert traj.termination == "ellipticity_breakdown"
+        assert abs(traj.t_end - t_b) < 0.1
+        for rtol, atol in ((1e-7, 1e-9), (1e-10, 1e-12)):
+            for T, want in ((38.5, "reached_T"),
+                            (39.0, "ellipticity_breakdown")):
+                got = radial.integrate_endpoint(*LARGE_K_SEED, T, n, k,
+                                                rtol=rtol, atol=atol)
+                _, _, (cause,) = radial.integrate_lanes(
+                    *([v] for v in LARGE_K_SEED), T, n, k, rtol=rtol,
+                    atol=atol)
+                assert got[2] == cause == want, (rtol, T)
+
+
+def _large_k_lane_accel(x, v, n, k):
+    out = np.empty((2, 1))
+    with np.errstate(all="ignore"):  # as in the lane loop
+        radial._large_k_rhs(np.array([[x], [v]]), k,
+                            radial.theta_constant(n, k),
+                            (n - 2.0 * k) / (2.0 * k), out)
+    return out[1, 0]
+
+
+def test_large_k_right_hand_side_takes_the_product_in_log_form():
+    # e^{-2k xi} underflows and (1 - xi_t^2)^(1-k) overflows; their
+    # product underflows, so xi_tt is the beta term alone.
+    n, k, x, v = 35, 28, 48.0, 0.9999999999981
+    want = -(n - 2.0 * k) / (2.0 * k) * (1.0 - v * v)
+    assert radial.ode_rhs(x, v, n, k) == pytest.approx(want, rel=1e-12)
+    assert radial._clamped_accel(n, k)(x, v) == pytest.approx(want,
+                                                             rel=1e-12)
+    assert _large_k_lane_accel(x, v, n, k) == pytest.approx(want, rel=1e-12)
+
+
+def test_large_k_clamped_trials_keep_their_nan():
+    # A trial past the degenerate set is clamped to 1 - xi_t^2 = 1e-30;
+    # its nan must stay, so that the step is rejected.
+    n, k, x, v = 35, 28, 48.0, 1.0 + 1e-9
+    assert math.isnan(radial._clamped_accel(n, k)(x, v))
+    assert math.isnan(_large_k_lane_accel(x, v, n, k))
+
+
 def test_integrate_does_not_warn_on_rejected_trial_steps():
     # Trial steps from these seeds reach the clamped pole, and scipy's
     # stage sums used to warn "invalid value encountered in dot"; the

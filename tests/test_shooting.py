@@ -323,8 +323,8 @@ def test_solve_annulus_refuses_a_nan_tolerance(name):
 def test_solve_annulus_at_zero_tolerances_finds_the_default_solution():
     # Zero tolerances used to end every seed as a step failure and report
     # "empty".  An rtol below 100 eps is raised to it; a zero atol stays.
-    # c1 is nonzero because a seed with a zero slope still has a zero
-    # error scale at atol = 0, and a nan starting step: a separate fault.
+    # c1 is nonzero because at c1 = 0 every seed has a zero slope, and so
+    # a zero error scale at atol = 0, which is refused.
     problem = AnnulusProblem(5, 2, 5.0, -0.3, 0.3)
     scan = shooting.default_scan(5, 2, num=20)
     want = shooting.solve_annulus(problem, scan=scan)
@@ -335,6 +335,31 @@ def test_solve_annulus_at_zero_tolerances_finds_the_default_solution():
     assert len(got) == len(want) == 1
     assert got.solutions[0].xi0 == pytest.approx(want.solutions[0].xi0,
                                                  abs=1e-10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: shooting.solve_annulus(AnnulusProblem(5, 2, 5.0), scan_atol=0.0),
+    lambda: shooting.solve_annulus(AnnulusProblem(5, 2, 30.0), atol=0.0),
+    lambda: shooting.verify_bifurcation(5, 2, scan_atol=0.0),
+    lambda: shooting.find_r_star(5, 2, 0.0, -0.3, scan_atol=0.0),
+], ids=["scan_atol", "atol", "bifurcation", "r_star"])
+def test_zero_atol_at_zero_inner_slope_is_refused(call):
+    # At c1 = 0 every inner slope is 0, so a zero atol leaves every seed
+    # without an error scale and each one ended as a step failure: these
+    # calls answered empty, empty, failed and unresolved, where the
+    # default tolerances find 1 and 3 solutions, the branch point and
+    # r_star = 1.0143.
+    with pytest.raises(ValueError, match="atol must be positive"):
+        call()
+
+
+def test_large_k_solves_end_quickly(deadline):
+    # For k >= 27 every lane used to crawl along the overflowing pole; the
+    # (30, 27) solve took about a minute.  Every seed now ends before T.
+    with deadline(5):
+        result = shooting.solve_annulus(AnnulusProblem(30, 27, 1e20))
+    assert result.status == "empty"
+    assert result.diagnostics.truncated_low == 2000
 
 
 def test_find_r_star_refuses_a_nan_scan_tolerance():
