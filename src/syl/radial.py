@@ -750,6 +750,41 @@ def _large_k_rhs(y, k, th, beta, out):
     return w
 
 
+def _breakdown_time(t, xi, xi_t, n, k):
+    """A time by which the orbit through (xi, xi_t) at time t reaches the
+    degenerate set 1 - xi_t^2 = 0: inf where it is sure to reach it but
+    xi_t <= 0, and nan where the first integral does not make it sure.
+    Accepts arrays.
+
+    Write w = 1 - xi_t^2 and B = 2k theta / n.  The invariant of
+    :func:`ode_invariant` gives w^k = B e^{-2k xi} + E e^{(n-2k) xi}, and
+    with it the ODE reads
+
+        xi_tt = [2k B e^{-2k xi} - (n-2k) E e^{(n-2k) xi}] / (2k w^{k-1}).
+
+    Let E < 0.  For n >= 2k both terms of the bracket are non-negative and
+    the first is positive.  For n < 2k, w^k >= 0 gives E e^{(n-2k) xi} >=
+    -B e^{-2k xi}, so the bracket is at least n B e^{-2k xi} > 0.  Either
+    way xi_tt > 0 while w > 0, so xi_t rises and the orbit cannot stay in
+    the elliptic branch for all time.  Once xi_t > 0, xi_t only grows, and
+    xi >= xi(t) + xi_t(t) (s - t) at later times s.  But w^k >= 0 bounds
+    xi by xi_b = ln(-B/E)/n, where w = 0, so the orbit reaches the
+    degenerate set by t + (xi_b - xi) / xi_t.
+
+    Sure means E < -1e-6 B e^{-n xi}, a relative margin that rounding
+    cannot fake, with E and xi_b finite: a state too far out for floats
+    is left to the integrator.
+    """
+    b = 2.0 * k * theta_constant(n, k) / n
+    with np.errstate(all="ignore"):  # extreme states overflow; then nan
+        tail = b * np.exp(-n * xi)
+        E = (1.0 - xi_t * xi_t) ** k * np.exp((2.0 * k - n) * xi) - tail
+        xi_b = np.log(-b / E) / n
+        time = np.where(xi_t > 0.0, t + (xi_b - xi) / xi_t, math.inf)
+    return np.where((E < -1e-6 * tail) & np.isfinite(E + xi_b), time,
+                    math.nan)
+
+
 def _stage_sum(weights, K):
     """A new array sum_j c_j * K[j] over the nonzero weights c_j of a
     tableau row, whose first weight is nonzero.
@@ -832,6 +867,21 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
     elementwise and in a fixed order, so a lane takes the same steps
     whatever other lanes share its batch.
 
+    At a finite T and for k <= 3, a lane also ends as a breakdown after
+    an accepted step from which :func:`_breakdown_time` proves that the
+    orbit reaches the degenerate set by T - 1e-3 max(1, T), provided
+    its seed has E < 0 too.  Its exact orbit breaks down before T, and
+    wherever it was tested the lane, integrated on, broke down as well,
+    with the same nan and cause, after the steps that cost the most, near
+    the pole.  The seed's E keeps the rule off orbits that
+    the integrator's error carries across E = 0, and the time margin
+    off orbits that it might carry just past T.  The rule reads only the
+    lane's own seed and state, so the lanes that go on keep their steps.
+    It is off at T = inf (the fan's extension), and for k >= 4, where a
+    lane that breaks down often ends in a step failure with 1 - xi_t^2
+    still above the 1e-4 of :func:`_certified_breakdown`, which the
+    certificate would relabel.
+
     Returns (end, cause): the (2, m) state at T, nan unless the lane
     reached it, and per lane an index into ``TERMINATIONS``, or -1 for a
     parked lane.
@@ -845,6 +895,10 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
     rejected = np.zeros(m, dtype=bool)
     K = np.empty((7, 2, m))
     rhs = _lane_rhs if k < 12 else _large_k_rhs
+    certify = k <= 3 and T < math.inf
+    if certify:
+        horizon = T - 1e-3 * max(1.0, T)
+        doomed = ~np.isnan(_breakdown_time(0.0, y0[0], y0[1], n, k))
 
     with np.errstate(all="ignore"):
         while lane.size:
@@ -873,10 +927,14 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
             h = h * np.where(accept, grow, np.fmax(_MIN_FACTOR, power))
             rejected = ~accept
 
-            fired = accept & (w <= ETA_GUARD)
             y = np.where(accept, y_new, y)
             f = np.where(accept, K[6], f)
             t = np.where(accept, t_new, t)
+            ended = w <= ETA_GUARD
+            if certify:
+                ended |= doomed[lane] & (
+                    _breakdown_time(t, y[0], y[1], n, k) <= horizon)
+            fired = accept & ended
 
             reached = accept & (t >= T) & ~fired
             end[:, lane[reached]] = y[:, reached]
@@ -942,6 +1000,14 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
     lane that stops early reports nan for its state.  Finished lanes
     leave the working arrays, so the cost per step follows the live
     lanes.
+
+    For k <= 3 a lane ends as a breakdown, with nan, as soon as the first
+    integral proves that it breaks down before T (see :func:`_lane_loop`
+    and :func:`_breakdown_time`): the invariant E is negative at its seed
+    and at an accepted state with xi_t > 0, from which the orbit reaches
+    the degenerate set by T - 1e-3 max(1, T).  Integrated on, such a
+    lane ends the same way, after the steps that cost the most, near the
+    pole.
 
     A lane's result does not depend on its batch: every operation is
     elementwise, and the stage sums are formed in tableau order, as

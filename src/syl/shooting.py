@@ -303,17 +303,20 @@ def solve_annulus(
     The four tolerances must be finite and non-negative: a nan one would
     make every seed unevaluable and the answer a false ``empty``.  For
     the same reason ``scan_atol`` and ``atol`` must be positive when
-    c1 = 0 (see :func:`_check_zero_slope_atol`).
+    c1 = 0 or the grid holds the seed 0 (see
+    :func:`_check_zero_slope_atol`).  A result whose every bracket was
+    rejected is ``inconclusive`` too: refinement could not confirm a root
+    that may be there.
     """
     for name, tol in (("scan_rtol", scan_rtol), ("scan_atol", scan_atol),
                       ("rtol", rtol), ("atol", atol)):
         if not 0.0 <= tol < math.inf:
             raise ValueError(f"{name} must be finite and non-negative, "
                              f"got {tol!r}")
-    _check_zero_slope_atol(problem.c1, scan_atol=scan_atol, atol=atol)
     if scan is None:
         scan = default_scan(problem.n, problem.k)
     grid = scan.grid
+    _check_zero_slope_atol(problem.c1, grid, scan_atol=scan_atol, atol=atol)
     coarse = _make_residual(problem, scan_rtol, scan_atol)
     residuals = coarse(grid) if _residuals is None else _residuals
 
@@ -375,7 +378,7 @@ def solve_annulus(
 
     if merged:
         status = "ok"
-    elif any(b - a + 1 > gap_limit for (a, b) in interior):
+    elif diag.rejected or any(b - a + 1 > gap_limit for (a, b) in interior):
         status = "inconclusive"
     else:
         status = "empty"
@@ -389,13 +392,18 @@ def _check_positive(**values):
                              f"got {value!r}")
 
 
-def _check_zero_slope_atol(c1, **atols):
-    """Refuse a zero absolute tolerance at c1 = 0.  Every inner slope is
-    then 0, so no seed has an error scale in its slope: each ends as a
-    step failure, and the answer would be a false ``empty``."""
+def _check_zero_slope_atol(c1, grid, **atols):
+    """Refuse a zero absolute tolerance where a seed has a zero component.
+    At c1 = 0 every inner slope is 0, so no seed has an error scale in its
+    slope: each ends as a step failure, and the answer would be a false
+    ``empty``.  A seed xi0 = 0 on the grid likewise ends as a step
+    failure, a nan cell where a root could hide."""
     for name, atol in atols.items():
         if c1 == 0.0 and atol == 0.0:
             raise ValueError(f"{name} must be positive when c1 = 0")
+        if atol == 0.0 and 0.0 in grid:
+            raise ValueError(f"{name} must be positive when the scan grid "
+                             "holds the seed 0")
 
 
 def _prober(n, k, c1, c2, scan, scan_rtol, scan_atol):
@@ -477,7 +485,8 @@ def find_r_star(
     Statuses: ``ok`` (threshold bracketed), ``anomaly`` (solvable all the
     way down to R - 1 = ``shrink_limit``, contradicting the thin-annulus
     expectation), ``unresolved`` (unsolvable all the way up to ``R_max``),
-    ``inconclusive`` (a probe scan had a disqualifying interior gap).
+    ``inconclusive`` (a probe scan had a disqualifying interior gap, or
+    every bracket of a probe was rejected).
 
     Every probe reads the scan from one :class:`radial.LaneFan`.
     """
@@ -494,9 +503,9 @@ def find_r_star(
     if math.ceil(probes) > MAX_GROWTH_PROBES:
         raise ValueError(f"growth {growth!r} needs {math.ceil(probes)} "
                          f"probes to reach R_max, over {MAX_GROWTH_PROBES}")
-    _check_zero_slope_atol(c1, scan_atol=scan_atol)
     if scan is None:
         scan = default_scan(n, k)
+    _check_zero_slope_atol(c1, scan.grid, scan_atol=scan_atol)
     probe = _prober(n, k, c1, c2, scan, scan_rtol, scan_atol)
     history = []
 
@@ -573,11 +582,11 @@ def verify_bifurcation(
     if not 0.0 < span < 1.0:
         raise ValueError(f"span must lie in (0, 1), got {span!r}")
     _check_positive(rel_tol=rel_tol)
-    _check_zero_slope_atol(0.0, scan_atol=scan_atol)
     thr = bifurcation_threshold(n, k)
     xi_c = cylinder_solution(n, k)[0]
-    probe = _prober(n, k, 0.0, 0.0, ScanSpec(xi_c - window, xi_c + window,
-                                             num), scan_rtol, scan_atol)
+    scan = ScanSpec(xi_c - window, xi_c + window, num)
+    _check_zero_slope_atol(0.0, scan.grid, scan_atol=scan_atol)
+    probe = _prober(n, k, 0.0, 0.0, scan, scan_rtol, scan_atol)
     history = []
 
     def count(R: float) -> int:

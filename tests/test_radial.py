@@ -463,3 +463,96 @@ def test_extreme_seeds_end_quietly_as_a_lane_ends_them(seed, n, k):
     assert got[2] == cause == "step_failure"
     assert math.isnan(got[0]) and math.isnan(got[1])
     assert np.isnan(xi).all() and np.isnan(xi_t).all()
+
+
+# ------------------------------------------------ the breakdown certificate
+
+
+def _certificate_grids():
+    """(n, k, T, seeds, slopes, rtol, atol, fan): the scan grids of the
+    wide-annulus and branch-count acceptance tests, and 200-seed default
+    windows at two radii; ``fan`` marks the grids that radius searches
+    read from a LaneFan."""
+    for n, k in ((5, 2), (7, 3)):
+        xi_c = shooting.cylinder_solution(n, k)[0]
+        grid = shooting.ScanSpec(xi_c - 5.0, xi_c + 5.0, 301).grid
+        for R in (1.5, 2.0, 5.0, 10.0, 50.0):
+            for c1 in (0.0, 0.3, 0.5):
+                ok, slopes = shooting._inner_slopes(grid, c1)
+                yield n, k, math.log(R), grid[ok], slopes[ok], 1e-7, 1e-9, \
+                    False
+    for n, k in ((5, 2), (7, 2), (7, 3)):
+        xi_c = shooting.cylinder_solution(n, k)[0]
+        grid = shooting.ScanSpec(xi_c - 0.5, xi_c + 0.5, 400).grid
+        thr = shooting.bifurcation_threshold(n, k)
+        for R in (0.9 * thr, 1.1 * thr):
+            yield n, k, math.log(R), grid, 0.0 * grid, 1e-9, 1e-11, True
+    for n, k in ((4, 1), (5, 2), (6, 2), (7, 2), (7, 3)):
+        grid = shooting.default_scan(n, k, num=200).grid
+        for R, c1 in ((2.0, -0.5), (20.0, 0.5)):
+            ok, slopes = shooting._inner_slopes(grid, c1)
+            yield n, k, math.log(R), grid[ok], slopes[ok], 1e-7, 1e-9, False
+
+
+def _uncertified(t, xi, xi_t, n, k):
+    return np.full(np.shape(xi), math.nan)
+
+
+def test_certified_lanes_break_down_before_T(monkeypatch):
+    # Each lane that the first integral ends early must break down before
+    # T on the float stepper, which has no certificate, and every eighth
+    # on the dense integrator no later than the certified time; the lanes
+    # and fan reads must equal those of a loop without the certificate
+    # bit for bit.
+    bound_of = radial._breakdown_time
+    certified = 0
+    for n, k, T, xs, vs, rtol, atol, fan in _certificate_grids():
+        tol = dict(rtol=rtol, atol=atol)
+        got = radial.integrate_lanes(xs, vs, T, n, k, **tol)
+        reads = fan and radial.LaneFan(xs, vs, n, k, **tol).end_states(T)
+        with monkeypatch.context() as patch:
+            patch.setattr(radial, "_breakdown_time", _uncertified)
+            want = radial.integrate_lanes(xs, vs, T, n, k, **tol)
+            if fan:
+                plain = radial.LaneFan(xs, vs, n, k, **tol).end_states(T)
+                assert reads.tobytes() == plain.tobytes()
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tolist() == want[2].tolist()
+
+        horizon = T - 1e-3 * max(1.0, T)
+        broke = got[2] == "ellipticity_breakdown"
+        for x, v in zip(xs[broke].tolist(), vs[broke].tolist()):
+            bounds = []
+            with monkeypatch.context() as patch:
+                patch.setattr(radial, "_breakdown_time", lambda *args: (
+                    bounds.append(bound_of(*args)) or bounds[-1]))
+                radial.integrate_lanes([x], [v], T, n, k, **tol)
+            seed, *steps = bounds
+            ends = [float(b[0]) for b in steps if b[0] <= horizon]
+            if np.isnan(seed).all() or not ends:
+                continue
+            certified += 1
+            assert radial.integrate_endpoint(x, v, T, n, k, **tol)[2] \
+                == "ellipticity_breakdown", (n, k, T, x, v)
+            if certified % 8 == 0:  # a dense integration costs 5-10 ms
+                traj = radial.integrate((x, v), T, n, k, **tol)
+                assert traj.termination == "ellipticity_breakdown"
+                assert traj.t_end <= ends[0], (n, k, T, x, v)
+    assert certified >= 2000
+
+
+def test_breakdown_time_reads_the_sign_of_the_invariant():
+    # (5, 2): at rest on the cylinder E > 0, so nothing is certain; far
+    # below it E < 0, with a bound while xi_t > 0 and inf otherwise.
+    xi_c = shooting.cylinder_solution(5, 2)[0]
+    got = radial._breakdown_time(1.0, np.array([xi_c, -1.0, -1.0]),
+                                 np.array([0.0, 0.5, -0.5]), 5, 2)
+    assert math.isnan(got[0]) and got[2] == math.inf
+    assert radial.ode_invariant(-1.0, 0.5, 5, 2) < 0.0
+    xi_b = math.log(-2 * 2 * 0.5 / (5 * radial.ode_invariant(-1.0, 0.5, 5,
+                                                             2))) / 5
+    assert got[1] == pytest.approx(1.0 + (xi_b + 1.0) / 0.5, rel=1e-12)
+    traj = radial.integrate((-1.0, 0.5), 10.0, 5, 2)
+    assert traj.termination == "ellipticity_breakdown"
+    assert 1.0 + traj.t_end <= got[1]

@@ -353,6 +353,29 @@ def test_zero_atol_at_zero_inner_slope_is_refused(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda scan: shooting.solve_annulus(
+        AnnulusProblem(5, 2, 5.0, -0.3, 0.3), scan=scan, scan_atol=0.0),
+    lambda scan: shooting.solve_annulus(
+        AnnulusProblem(5, 2, 5.0, -0.3, 0.3), scan=scan, atol=0.0),
+    lambda scan: shooting.find_r_star(5, 2, -0.3, 0.0, scan=scan,
+                                      scan_atol=0.0),
+], ids=["scan_atol", "atol", "r_star"])
+def test_zero_atol_with_a_zero_seed_on_the_grid_is_refused(call):
+    # The seed xi0 = 0 has no error scale in xi at atol = 0, so its lane
+    # ended as a step failure, a one-cell gap in the scan (residual nan
+    # at 0.0, where the default tolerances give 0.42388).
+    scan = shooting.ScanSpec(-1.0, 1.0, 21)
+    assert 0.0 in scan.grid
+    with pytest.raises(ValueError, match="atol must be positive when the "
+                                         "scan grid holds the seed 0"):
+        call(scan)
+    # Off the seed 0, a zero atol at c1 != 0 is still accepted.
+    shifted = shooting.ScanSpec(-1.0, 1.0, 20)
+    assert 0.0 not in shifted.grid
+    call(shifted)
+
+
 def test_large_k_solves_end_quickly(deadline):
     # For k >= 27 every lane used to crawl along the overflowing pole; the
     # (30, 27) solve took about a minute.  Every seed now ends before T.
@@ -536,6 +559,20 @@ def test_solve_annulus_inconclusive_on_wide_interior_gap(monkeypatch):
         polish=False, gap_limit=10)
     assert result.status == "inconclusive"
     assert result.diagnostics.gap_runs != []
+
+
+def test_solve_annulus_inconclusive_when_every_bracket_is_rejected():
+    # A residual bound no root can meet rejects every bracket; the solve
+    # used to answer "empty", as if no root were there.
+    problem = AnnulusProblem(5, 2, 5.0)
+    scan = shooting.default_scan(5, 2, num=50)
+    assert shooting.solve_annulus(problem, scan=scan).status == "ok"
+    result = shooting.solve_annulus(problem, scan=scan, residual_bound=0.0)
+    assert result.status == "inconclusive" and result.solutions == ()
+    assert result.diagnostics.brackets != []
+    assert len(result.diagnostics.rejected) == len(
+        result.diagnostics.brackets)
+    assert {r[0] for r in result.diagnostics.rejected} == {"residual_bound"}
 
 
 def test_solve_annulus_edge_truncation_still_reads_empty(monkeypatch):
