@@ -249,17 +249,18 @@ def integrate(
     gives termination cause ``event:<index>``.
 
     For k >= 2 the right-hand side has a pole on the degenerate set, so
-    adaptive steps can underflow slightly before the guard event becomes
-    locatable.  When that happens the conserved quantity decides the cause:
-    a negative invariant certifies that the orbit reaches |xi_t| = 1 in
-    finite time, and such step failures are reported as
-    ``ellipticity_breakdown`` (truncated at the last resolvable state).
+    adaptive steps can underflow before the guard event becomes
+    locatable.  When that happens the first integral decides the cause:
+    a step failure is reported as ``ellipticity_breakdown`` (truncated at
+    the last accepted state) only where :func:`_certified_breakdown`
+    proves from the seed and that state that the orbit reaches
+    |xi_t| = 1 before T_max, and as ``step_failure`` otherwise.
     """
     if isinstance(initial, RadialState):
         y0 = (initial.xi, initial.xi_t)
     else:
         y0 = (float(initial[0]), float(initial[1]))
-    rtol = _check_args(y0[1], T_max, rtol, atol)
+    rtol = _check_args(*y0, T_max, rtol, atol)
     if atol == 0.0 and 0.0 in y0:
         raise ValueError("atol must be positive for a seed with a zero "
                          "component")
@@ -294,7 +295,9 @@ def integrate(
                         events=events)
 
     if sol.status == -1:
-        if _certified_breakdown(y0[0], y0[1], float(sol.y[1, -1]), n, k):
+        sure = ~np.isnan(_breakdown_time(0.0, y0[0], y0[1], n, k))
+        if _certified_breakdown(sure, sol.t[-1], sol.y[0, -1], sol.y[1, -1],
+                                T_max, n, k):
             termination = "ellipticity_breakdown"
         else:
             termination = "step_failure"
@@ -358,19 +361,6 @@ def _clamped_accel(n, k):
         return th * exp(min(c * x + p * math.log(w), 700.0)) - beta * w
 
     return accel if k < 12 else large_k
-
-
-def _certified_breakdown(xi0, xi_t0, xi_t_last, n, k):
-    """Whether a step failure is the orbit reaching |xi_t| = 1.
-
-    A negative invariant certifies that the orbit from (xi0, xi_t0)
-    reaches the degenerate set in finite time; together with a last
-    resolved state close to it, the failure is ellipticity breakdown.
-    Accepts arrays.
-    """
-    with np.errstate(all="ignore"):  # extreme seeds overflow the exps
-        return ((ode_invariant(xi0, xi_t0, n, k) < 0.0)
-                & (1.0 - xi_t_last ** 2 < 1e-4))
 
 
 # Dormand-Prince 5(4) (Dormand & Prince 1980, J. Comput. Appl. Math.
@@ -785,6 +775,19 @@ def _breakdown_time(t, xi, xi_t, n, k):
                     math.nan)
 
 
+def _certified_breakdown(sure, t, xi, xi_t, T, n, k):
+    """Whether the first integral proves that an orbit breaks down before
+    T, the one rule behind every breakdown label but the guard's: its
+    seed is ``sure`` to reach the degenerate set (the seed's
+    :func:`_breakdown_time` is not nan), and from its state (xi, xi_t) at
+    time t it does so by T - 1e-3 max(1, T).  The seed's E keeps the rule
+    off orbits that the integrator's error carries across E = 0, and the
+    margin off orbits that it might carry just past T.  False at T = inf,
+    where the horizon is nan.  Accepts arrays."""
+    return sure & (_breakdown_time(t, xi, xi_t, n, k)
+                   <= T - 1e-3 * max(1.0, T))
+
+
 def _stage_sum(weights, K):
     """A new array sum_j c_j * K[j] over the nonzero weights c_j of a
     tableau row, whose first weight is nonzero.
@@ -867,20 +870,17 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
     elementwise and in a fixed order, so a lane takes the same steps
     whatever other lanes share its batch.
 
-    At a finite T and for k <= 3, a lane also ends as a breakdown after
-    an accepted step from which :func:`_breakdown_time` proves that the
-    orbit reaches the degenerate set by T - 1e-3 max(1, T), provided
-    its seed has E < 0 too.  Its exact orbit breaks down before T, and
-    wherever it was tested the lane, integrated on, broke down as well,
-    with the same nan and cause, after the steps that cost the most, near
-    the pole.  The seed's E keeps the rule off orbits that
-    the integrator's error carries across E = 0, and the time margin
-    off orbits that it might carry just past T.  The rule reads only the
-    lane's own seed and state, so the lanes that go on keep their steps.
-    It is off at T = inf (the fan's extension), and for k >= 4, where a
-    lane that breaks down often ends in a step failure with 1 - xi_t^2
-    still above the 1e-4 of :func:`_certified_breakdown`, which the
-    certificate would relabel.
+    At a finite T, a lane also ends as a breakdown after an accepted step
+    from which :func:`_certified_breakdown` proves that the orbit
+    reaches the degenerate set before T.  Its exact orbit breaks down
+    before T, and wherever it was tested the lane, integrated on, broke
+    down as well, with the same nan and cause, after the steps that cost
+    the most, near the pole.  A lane whose step fails is a breakdown by
+    the same rule, read at its last accepted state, and a step failure
+    otherwise.  The rule reads only the lane's own seed and state, so
+    the lanes that go on keep their steps.  It is off at T = inf (the
+    fan's extension), where a read at a smaller T needs the lane's later
+    checkpoints.
 
     Returns (end, cause): the (2, m) state at T, nan unless the lane
     reached it, and per lane an index into ``TERMINATIONS``, or -1 for a
@@ -895,10 +895,9 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
     rejected = np.zeros(m, dtype=bool)
     K = np.empty((7, 2, m))
     rhs = _lane_rhs if k < 12 else _large_k_rhs
-    certify = k <= 3 and T < math.inf
-    if certify:
-        horizon = T - 1e-3 * max(1.0, T)
-        doomed = ~np.isnan(_breakdown_time(0.0, y0[0], y0[1], n, k))
+    # The seed's part of the certificate, read once; off at T = inf.
+    doomed = (T < math.inf) & ~np.isnan(
+        _breakdown_time(0.0, y0[0], y0[1], n, k))
 
     with np.errstate(all="ignore"):
         while lane.size:
@@ -930,21 +929,16 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
             y = np.where(accept, y_new, y)
             f = np.where(accept, K[6], f)
             t = np.where(accept, t_new, t)
-            ended = w <= ETA_GUARD
-            if certify:
-                ended |= doomed[lane] & (
-                    _breakdown_time(t, y[0], y[1], n, k) <= horizon)
-            fired = accept & ended
+            proven = doomed[lane]
+            if proven.any():
+                proven = _certified_breakdown(proven, t, y[0], y[1], T, n, k)
+            fired = accept & ((w <= ETA_GUARD) | proven)
 
             reached = accept & (t >= T) & ~fired
             end[:, lane[reached]] = y[:, reached]
             cause[lane[reached]] = 0
             cause[lane[fired]] = 1
-            if failed.any():
-                gone = lane[failed]
-                broke = _certified_breakdown(y0[0, gone], y0[1, gone],
-                                             y[1, failed], n, k)
-                cause[gone] = np.where(broke, 1, 2)
+            cause[lane[failed]] = np.where(proven[failed], 1, 2)
 
             live = ~(reached | fired | leave)
             if accepted is not None:
@@ -958,16 +952,17 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
     return end, cause
 
 
-def _check_args(xi_t0, T, rtol, atol):
-    """Refuse an inadmissible slope, an end time not positive and finite
-    (``T=None`` skips it), and a nan, infinite or negative tolerance,
-    which would shrink a nan step forever or fake an empty answer.
-    Returns rtol raised to 100 eps with a warning, as scipy's RK45 raises
-    it: at rtol = atol = 0 every trial step would be rejected."""
+def _check_args(xi0, xi_t0, T, rtol, atol):
+    """Refuse a seed with a nan or infinite xi0 or an inadmissible slope,
+    an end time not positive and finite (``T=None`` skips it), and a nan,
+    infinite or negative tolerance, which would shrink a nan step forever
+    or fake an empty answer.  Returns rtol raised to 100 eps with a
+    warning, as scipy's RK45 raises it: at rtol = atol = 0 every trial
+    step would be rejected."""
     with np.errstate(over="ignore"):  # a huge slope squares to inf
-        admissible = np.all(1.0 - xi_t0 * xi_t0 > ETA_GUARD)
-    if not admissible:
-        raise ValueError("initial state is not admissible")
+        ok = np.all(np.isfinite(xi0) & (1.0 - xi_t0 * xi_t0 > ETA_GUARD))
+    if not ok:
+        raise ValueError("initial state must be finite and admissible")
     if T is not None and not 0.0 < T < math.inf:
         raise ValueError("T must be positive and finite")
     if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):
@@ -1001,13 +996,14 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
     leave the working arrays, so the cost per step follows the live
     lanes.
 
-    For k <= 3 a lane ends as a breakdown, with nan, as soon as the first
-    integral proves that it breaks down before T (see :func:`_lane_loop`
-    and :func:`_breakdown_time`): the invariant E is negative at its seed
-    and at an accepted state with xi_t > 0, from which the orbit reaches
-    the degenerate set by T - 1e-3 max(1, T).  Integrated on, such a
-    lane ends the same way, after the steps that cost the most, near the
-    pole.
+    A lane ends as a breakdown, with nan, as soon as the first integral
+    proves that it breaks down before T (see :func:`_lane_loop` and
+    :func:`_certified_breakdown`): the invariant E is negative at its
+    seed and at an accepted state with xi_t > 0, from which the orbit
+    reaches the degenerate set by T - 1e-3 max(1, T).  Integrated on,
+    such a lane ends the same way, after the steps that cost the most,
+    near the pole.  A lane whose step fails is a breakdown only where
+    the same rule proves it.
 
     A lane's result does not depend on its batch: every operation is
     elementwise, and the stage sums are formed in tableau order, as
@@ -1018,7 +1014,7 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
     """
     shape = np.shape(xi0)
     y0 = np.array([np.ravel(xi0), np.ravel(xi_t0)], dtype=float)
-    rtol = _check_args(y0[1], T, rtol, atol)
+    rtol = _check_args(*y0, T, rtol, atol)
     f, h = _lane_start(y0, n, k, rtol, atol)
     end, cause = _lane_loop(y0, np.zeros(y0.shape[1]), y0, f, h, T, n, k,
                             rtol, atol)
@@ -1050,7 +1046,7 @@ class LaneFan:
     def __init__(self, xi0, xi_t0, n: int, k: int, *, rtol: float = 1e-10,
                  atol: float = 1e-12):
         self.seeds = np.array([np.ravel(xi0), np.ravel(xi_t0)], dtype=float)
-        rtol = _check_args(self.seeds[1], None, rtol, atol)
+        rtol = _check_args(*self.seeds, None, rtol, atol)
         self.n, self.k, self.rtol, self.atol = n, k, rtol, atol
         m = self.seeds.shape[1]
         f0, h0 = _lane_start(self.seeds, n, k, rtol, atol)
@@ -1095,7 +1091,7 @@ class LaneFan:
     def end_states(self, T: float) -> np.ndarray:
         """The (2, m) states (xi, xi_t) of the seeds at T, nan where a lane
         stops first."""
-        _check_args(self.seeds[1], T, self.rtol, self.atol)
+        _check_args(*self.seeds, T, self.rtol, self.atol)
         if T > self._frontier:
             self._extend(T)
         # Each lane replays from the first checkpoint whose first trial
@@ -1131,7 +1127,7 @@ def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
     """
     x0 = x = float(xi0)
     v0 = v = float(xi_t0)
-    rtol = _check_args(v, T, rtol, atol)
+    rtol = _check_args(x, v, T, rtol, atol)
     accel = _clamped_accel(n, k)
     a, h = _start(x, v, accel, rtol, atol)
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
@@ -1145,7 +1141,8 @@ def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
         if not rejected and h < min_step:
             h = min_step
         if not h >= min_step:
-            if _certified_breakdown(x0, v0, v, n, k):
+            sure = ~np.isnan(_breakdown_time(0.0, x0, v0, n, k))
+            if _certified_breakdown(sure, t, x, v, T, n, k):
                 return math.nan, math.nan, "ellipticity_breakdown"
             return math.nan, math.nan, "step_failure"
         t_new = min(t + h, T)

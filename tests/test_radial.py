@@ -279,17 +279,25 @@ def test_integrate_endpoint_input_validation():
         radial.integrate_endpoint(0.0, 0.0, math.inf, 5, 2)
 
 
-# Each integration entry point on the seed (0.5, 0.1) of (5, 2) to T = 1.
+# Each integration entry point on the seed (xi0, 0.1) of (5, 2) to T = 1.
 _ENTRY_POINTS = {
-    "integrate": lambda **tol: radial.integrate((0.5, 0.1), 1.0, 5, 2,
-                                                **tol).final_state.xi,
-    "integrate_lanes": lambda **tol: radial.integrate_lanes(
-        [0.5], [0.1], 1.0, 5, 2, **tol)[0][0],
-    "integrate_endpoint": lambda **tol: radial.integrate_endpoint(
-        0.5, 0.1, 1.0, 5, 2, **tol)[0],
-    "LaneFan": lambda **tol: radial.LaneFan([0.5], [0.1], 5, 2,
-                                            **tol).end_states(1.0)[0, 0],
+    "integrate": lambda xi0=0.5, **tol: radial.integrate(
+        (xi0, 0.1), 1.0, 5, 2, **tol).final_state.xi,
+    "integrate_lanes": lambda xi0=0.5, **tol: radial.integrate_lanes(
+        [xi0], [0.1], 1.0, 5, 2, **tol)[0][0],
+    "integrate_endpoint": lambda xi0=0.5, **tol: radial.integrate_endpoint(
+        xi0, 0.1, 1.0, 5, 2, **tol)[0],
+    "LaneFan": lambda xi0=0.5, **tol: radial.LaneFan(
+        [xi0], [0.1], 5, 2, **tol).end_states(1.0)[0, 0],
 }
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("xi0", [math.nan, math.inf, -math.inf])
+def test_integrators_refuse_a_non_finite_seed(entry, xi0):
+    # The lanes and the float stepper used to answer nan and step_failure.
+    with pytest.raises(ValueError, match="finite"):
+        _ENTRY_POINTS[entry](xi0=xi0)
 
 
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
@@ -325,8 +333,8 @@ def test_lane_fan_input_validation():
 
 @pytest.mark.parametrize("seed,T,n,k,want", [
     ((0.0, 0.999999), 1.0, 25, 12, "ellipticity_breakdown"),
-    ((0.0, -0.9999), 2.0, 30, 14, "step_failure"),
-    ((-1.0, 0.99), 2.0, 26, 12, "step_failure"),
+    ((0.0, -0.9999), 2.0, 30, 14, "ellipticity_breakdown"),
+    ((-1.0, 0.99), 2.0, 26, 12, "ellipticity_breakdown"),
 ])
 def test_integrate_ends_like_a_lane_where_the_pole_overflows(seed, T, n, k,
                                                              want):
@@ -451,6 +459,19 @@ def test_zero_atol_is_refused_for_a_seed_with_a_zero_component(seed):
     assert got[2] == cause == "step_failure"
 
 
+@pytest.mark.parametrize("seed,want", [((0.0, 0.9), "ellipticity_breakdown"),
+                                       ((0.0, -0.9), "step_failure")])
+def test_a_step_failure_at_the_seed_is_labelled_by_the_certificate(seed,
+                                                                   want):
+    # At atol = 0 both fail their first step.  From (0, 0.9) the first
+    # integral proves breakdown by t = 0.021; from (0, -0.9), with
+    # xi_t < 0, it gives no time.
+    _, _, (cause,) = radial.integrate_lanes(*([v] for v in seed), 1.0, 5, 2,
+                                            atol=0.0)
+    got = radial.integrate_endpoint(*seed, 1.0, 5, 2, atol=0.0)
+    assert got[2] == cause == want
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed,n,k", [((-200.0, 0.0), 5, 2),
                                       ((-360.0, 0.5), 7, 3)])
@@ -487,7 +508,8 @@ def _certificate_grids():
         thr = shooting.bifurcation_threshold(n, k)
         for R in (0.9 * thr, 1.1 * thr):
             yield n, k, math.log(R), grid, 0.0 * grid, 1e-9, 1e-11, True
-    for n, k in ((4, 1), (5, 2), (6, 2), (7, 2), (7, 3)):
+    for n, k in ((4, 1), (5, 2), (6, 2), (7, 2), (7, 3), (6, 4), (9, 4),
+                 (10, 5)):
         grid = shooting.default_scan(n, k, num=200).grid
         for R, c1 in ((2.0, -0.5), (20.0, 0.5)):
             ok, slopes = shooting._inner_slopes(grid, c1)
@@ -500,10 +522,10 @@ def _uncertified(t, xi, xi_t, n, k):
 
 def test_certified_lanes_break_down_before_T(monkeypatch):
     # Each lane that the first integral ends early must break down before
-    # T on the float stepper, which has no certificate, and every eighth
+    # T on the float stepper, which has no early end, and every eighth
     # on the dense integrator no later than the certified time; the lanes
     # and fan reads must equal those of a loop without the certificate
-    # bit for bit.
+    # bit for bit, but for step failures that it proves are breakdowns.
     bound_of = radial._breakdown_time
     certified = 0
     for n, k, T, xs, vs, rtol, atol, fan in _certificate_grids():
@@ -518,7 +540,9 @@ def test_certified_lanes_break_down_before_T(monkeypatch):
                 assert reads.tobytes() == plain.tobytes()
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
-        assert got[2].tolist() == want[2].tolist()
+        relabeled = got[2] != want[2]
+        assert (got[2][relabeled] == "ellipticity_breakdown").all()
+        assert (want[2][relabeled] == "step_failure").all()
 
         horizon = T - 1e-3 * max(1.0, T)
         broke = got[2] == "ellipticity_breakdown"
@@ -540,6 +564,44 @@ def test_certified_lanes_break_down_before_T(monkeypatch):
                 assert traj.termination == "ellipticity_breakdown"
                 assert traj.t_end <= ends[0], (n, k, T, x, v)
     assert certified >= 2000
+
+
+@pytest.mark.parametrize("n,k,R,seed", [
+    (4, 4, 3.6760991796894684, (-0.6783919597989945, 0.7361640939136332)),
+    (6, 4, 12.217438668164554, (-0.2261306532663312, 0.6130286313858284)),
+    (11, 4, 6.819361258741421, (-1.5978121662500038, 0.6331010515792268)),
+    (5, 5, 49.16787219516935, (-1.1809045226130652, 0.9532932855348528)),
+])
+def test_large_k_breakdowns_take_one_label(n, k, R, seed):
+    # The lanes and the float stepper fail their steps at different
+    # states near the pole; when a state 1 - xi_t^2 < 1e-4 decided the
+    # label, one of them called these breakdowns step failures.
+    T, tol = math.log(R), dict(rtol=1e-7, atol=1e-9)
+    xi, _, (cause,) = radial.integrate_lanes(*([v] for v in seed), T, n, k,
+                                             **tol)
+    got = radial.integrate_endpoint(*seed, T, n, k, **tol)
+    assert got[2] == cause == "ellipticity_breakdown"
+    assert math.isnan(got[0]) and np.isnan(xi).all()
+
+
+def test_large_k_lanes_end_like_the_float_stepper():
+    # Default scan windows at random radii and inner slopes, for k >= 4.
+    rng = np.random.default_rng(7)
+    causes = set()
+    for n, k in ((4, 4), (5, 4), (7, 4), (8, 5), (9, 6), (11, 4), (11, 8)):
+        T = rng.uniform(math.log(1.2), math.log(50.0))
+        grid = shooting.default_scan(n, k, num=100).grid
+        ok, slopes = shooting._inner_slopes(grid, rng.uniform(-0.5, 0.5))
+        xs, vs = grid[ok].tolist(), slopes[ok].tolist()
+        xi, _, lanes = radial.integrate_lanes(xs, vs, T, n, k, rtol=1e-7,
+                                              atol=1e-9)
+        for x, v, end, cause in zip(xs, vs, xi.tolist(), lanes.tolist()):
+            got = radial.integrate_endpoint(x, v, T, n, k, rtol=1e-7,
+                                            atol=1e-9)
+            assert got[2] == cause, (n, k, T, x, v)
+            assert math.isnan(got[0]) == math.isnan(end), (n, k, T, x, v)
+            causes.add(cause)
+    assert causes == {"reached_T", "ellipticity_breakdown"}
 
 
 def test_breakdown_time_reads_the_sign_of_the_invariant():

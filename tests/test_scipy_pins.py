@@ -88,6 +88,13 @@ def test_solve_ivp_matches_scipy_bit_for_bit(pinned):
                                 rng.uniform(0.05, 5.0), n, k, rtol=rtol,
                                 atol=atol, extra_events=extra)
         causes.add(traj.termination.split(":")[0])
+    # A step failure that the first integral does not prove a breakdown:
+    # E = +1.0e-6 at this seed, and the integration error carries the
+    # orbit to the degenerate set at t = 6.79.
+    traj = radial.integrate((2.3, 0.33 * math.exp(-2.3)), math.log(4540.0),
+                            10, 2, rtol=1e-7, atol=1e-9)
+    assert traj.t_end == pytest.approx(6.79, abs=5e-3)
+    causes.add(traj.termination)
     assert set(pinned) == {-1, 0, 1}
     assert causes == {"reached_T", "ellipticity_breakdown", "step_failure",
                       "event"}
