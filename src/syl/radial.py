@@ -870,21 +870,22 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
     elementwise and in a fixed order, so a lane takes the same steps
     whatever other lanes share its batch.
 
-    At a finite T, a lane also ends as a breakdown after an accepted step
-    from which :func:`_certified_breakdown` proves that the orbit
-    reaches the degenerate set before T.  Its exact orbit breaks down
-    before T, and wherever it was tested the lane, integrated on, broke
-    down as well, with the same nan and cause, after the steps that cost
-    the most, near the pole.  A lane whose step fails is a breakdown by
-    the same rule, read at its last accepted state, and a step failure
+    A lane also ends as a breakdown after an accepted step from which
+    :func:`_certified_breakdown` proves that the orbit reaches the
+    degenerate set before the horizon: T, or ``stop`` at T = inf (the
+    fan's extension).  Its exact orbit breaks down before the horizon,
+    and wherever it was tested the lane, integrated on, broke down as
+    well, with the same nan and cause, after the steps that cost the
+    most, near the pole.  A lane whose step fails is a breakdown by the
+    same rule, read at its last accepted state, and a step failure
     otherwise.  The rule reads only the lane's own seed and state, so
-    the lanes that go on keep their steps.  It is off at T = inf (the
-    fan's extension), where a read at a smaller T needs the lane's later
-    checkpoints.
+    the lanes that go on keep their steps.
 
     Returns (end, cause): the (2, m) state at T, nan unless the lane
-    reached it, and per lane an index into ``TERMINATIONS``, or -1 for a
-    parked lane.
+    reached it, and per lane an index into ``TERMINATIONS``, -1 for a
+    parked lane, or -2 for a lane that the rule ends at T = inf, whose
+    state at any T past ``stop`` is nan but which a read at a smaller T
+    must replay from its last accepted state.
     """
     th = theta_constant(n, k)
     beta = (n - 2.0 * k) / (2.0 * k)
@@ -895,8 +896,9 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
     rejected = np.zeros(m, dtype=bool)
     K = np.empty((7, 2, m))
     rhs = _lane_rhs if k < 12 else _large_k_rhs
-    # The seed's part of the certificate, read once; off at T = inf.
-    doomed = (T < math.inf) & ~np.isnan(
+    # The seed's part of the certificate, read once; off with no horizon.
+    horizon = T if T < math.inf else stop
+    doomed = (horizon < math.inf) & ~np.isnan(
         _breakdown_time(0.0, y0[0], y0[1], n, k))
 
     with np.errstate(all="ignore"):
@@ -929,15 +931,21 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
             y = np.where(accept, y_new, y)
             f = np.where(accept, K[6], f)
             t = np.where(accept, t_new, t)
-            proven = doomed[lane]
+            # The bound is inf where xi_t <= 0: only lanes with xi_t > 0
+            # are tested.
+            proven = doomed[lane] & (y[1] > 0.0)
             if proven.any():
-                proven = _certified_breakdown(proven, t, y[0], y[1], T, n, k)
-            fired = accept & ((w <= ETA_GUARD) | proven)
+                proven = _certified_breakdown(proven, t, y[0], y[1], horizon,
+                                              n, k)
+            guarded = w <= ETA_GUARD
+            fired = accept & (guarded | proven)
 
             reached = accept & (t >= T) & ~fired
             end[:, lane[reached]] = y[:, reached]
             cause[lane[reached]] = 0
             cause[lane[fired]] = 1
+            if T == math.inf:
+                cause[lane[fired & ~guarded]] = -2
             cause[lane[failed]] = np.where(proven[failed], 1, 2)
 
             live = ~(reached | fired | leave)
@@ -1030,7 +1038,9 @@ class LaneFan:
     loop, with no end time, and the controller state after every
     accepted step is kept as a checkpoint: t, the state, its derivative
     and the proposed next step.  The checkpoints go only as far as the
-    largest T asked for so far, and are extended from there.
+    largest T asked for so far, and are extended from there.  A lane that
+    the first integral proves breaks down before that T stops there (see
+    :func:`_lane_loop`), instead of paying for the steps near the pole.
 
     A lane starts from :func:`_start`, the step of an unbounded span,
     whatever its end time, so a lane integrated to T takes the same steps
@@ -1041,6 +1051,13 @@ class LaneFan:
     each lane from there, taking the last step or two on the same loop,
     which gives bit for bit the state at T of :func:`integrate_lanes`,
     since a lane's steps do not depend on its batch.
+
+    A lane with no such checkpoint broke down before T, or was stopped by
+    the first integral.  A stopped lane replays from its last checkpoint,
+    at T: the same steps as any lane to T.  If T is at least the stop at
+    which it was stopped, the replay's first accepted step proves the
+    breakdown again, so its read is nan; below that stop, the replay may
+    integrate on towards T, and its read is a fresh lane's.
     """
 
     def __init__(self, xi0, xi_t0, n: int, k: int, *, rtol: float = 1e-10,
@@ -1052,6 +1069,7 @@ class LaneFan:
         f0, h0 = _lane_start(self.seeds, n, k, rtol, atol)
         self._parts = [(np.arange(m), np.zeros(m), self.seeds, f0, h0)]
         self._front = np.arange(m)  # lanes still going
+        self._open = np.ones(m, dtype=bool)  # not ended by guard or failure
         self._frontier = 0.0
         self._merge()
 
@@ -1085,6 +1103,7 @@ class LaneFan:
             self._f[:, last], self._h[last], math.inf, self.n, self.k,
             self.rtol, self.atol, stop=T, accepted=keep)
         self._front = lanes[cause == -1]
+        self._open[lanes[cause >= 0]] = False
         self._frontier = T
         self._merge()
 
@@ -1095,10 +1114,12 @@ class LaneFan:
         if T > self._frontier:
             self._extend(T)
         # Each lane replays from the first checkpoint whose first trial
-        # reaches T; a lane with none broke down before T.
+        # reaches T; with none, from its last if the first integral
+        # stopped it, and not at all if it ended before T.
         count = self._t.size
         hits = np.where(self._reach >= T, np.arange(count), count)
         first = np.minimum.reduceat(hits, self._first)
+        first = np.where((first == count) & self._open, self._last, first)
         go = np.flatnonzero(first < count)
         at = first[go]
         end = np.full(self.seeds.shape, math.nan)

@@ -566,6 +566,67 @@ def test_certified_lanes_break_down_before_T(monkeypatch):
     assert certified >= 2000
 
 
+def test_fan_stopped_lanes_break_down_before_the_stop(monkeypatch):
+    # Each lane that a fan's extension ends early, with no state, must
+    # break down before that extension's stop on the float stepper, which
+    # has no early end.  Three reads extend each fan three times.
+    lane_loop = radial._lane_loop
+    stopped = []
+
+    def spy(y0, t, y, f, h, T, n, k, rtol, atol, **kwargs):
+        end, cause = lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, **kwargs)
+        if T == math.inf:
+            stopped.extend((x, v, kwargs["stop"], n, k, rtol, atol)
+                           for x, v in y0[:, cause == -2].T.tolist())
+        return end, cause
+
+    monkeypatch.setattr(radial, "_lane_loop", spy)
+    # The bifurcation windows, once per class, and default windows.
+    grids = list({(n, k): (n, k, xs, vs, rtol, atol) for n, k, _, xs, vs,
+                  rtol, atol, fan in _certificate_grids() if fan}.values())
+    for n, k in ((5, 2), (7, 3), (9, 4), (13, 12)):
+        grid = shooting.default_scan(n, k, num=100).grid
+        for c1 in (-0.5, 0.5):
+            ok, slopes = shooting._inner_slopes(grid, c1)
+            grids.append((n, k, grid[ok], slopes[ok], 1e-7, 1e-9))
+    for n, k, xs, vs, rtol, atol in grids:
+        fan = radial.LaneFan(xs, vs, n, k, rtol=rtol, atol=atol)
+        for R in (2.0, 8.0, 64.0):
+            fan.end_states(math.log(R))
+    for x, v, stop, n, k, rtol, atol in stopped:
+        assert radial.integrate_endpoint(x, v, stop, n, k, rtol=rtol,
+                                         atol=atol)[2] \
+            == "ellipticity_breakdown", (x, v, stop, n, k)
+    assert len(stopped) >= 250
+
+
+def test_a_fan_extension_skips_the_steps_of_stopped_lanes(monkeypatch):
+    # A 200-seed (5, 2) window extended to ln 64 takes fewer rounds of the
+    # lane loop than without the certificate, and reads the same bits.
+    grid = shooting.default_scan(5, 2, num=200).grid
+    ok, slopes = shooting._inner_slopes(grid, -0.3)
+    rms, calls, rounds, reads = radial._rms, [0], [], []
+
+    def counting(a):
+        calls[0] += 1
+        return rms(a)
+
+    monkeypatch.setattr(radial, "_rms", counting)  # once per round
+    for certified in (True, False):
+        with monkeypatch.context() as patch:
+            if not certified:
+                patch.setattr(radial, "_breakdown_time", _uncertified)
+            fan = radial.LaneFan(grid[ok], slopes[ok], 5, 2, rtol=1e-7,
+                                 atol=1e-9)
+            calls[0] = 0
+            fan._extend(math.log(64.0))
+            rounds.append(calls[0])
+            reads.append([fan.end_states(math.log(R)).tobytes()
+                          for R in (64.0, 20.0, 3.0, 1.5, 1.01)])
+    assert rounds[0] < rounds[1] // 2, rounds
+    assert reads[0] == reads[1]
+
+
 @pytest.mark.parametrize("n,k,R,seed", [
     (4, 4, 3.6760991796894684, (-0.6783919597989945, 0.7361640939136332)),
     (6, 4, 12.217438668164554, (-0.2261306532663312, 0.6130286313858284)),

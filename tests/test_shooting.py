@@ -1,7 +1,9 @@
 """Tests for the annulus shooting layer: scans, thresholds, and sweeps."""
 
 import csv
+import json
 import math
+import pathlib
 import types
 
 import numpy as np
@@ -385,9 +387,81 @@ def test_large_k_solves_end_quickly(deadline):
     assert result.diagnostics.truncated_low == 2000
 
 
+def test_no_input_hangs_a_solve_or_a_threshold_search(deadline):
+    # Seeded draws over the accepted domain: n <= 40, any k <= n for
+    # solves and 2 <= k < n/2 for searches, ln R log-uniform up to
+    # ln 1e300, and |c1|, |c2| log-uniform in [1e-3, 1e3] with either
+    # sign, each on a 41-seed scan.  The slowest draw, a (27, 5) solve
+    # at R = 7.9e255 with one root, takes about 5 s, most of it in
+    # refining that root over T = 589; most take milliseconds.
+    rng = np.random.default_rng(18)
+
+    def wide():
+        return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3))
+
+    for _ in range(100):
+        n = int(rng.integers(3, 41))
+        k = int(rng.integers(1, n + 1))
+        R = math.exp(10.0 ** rng.uniform(-6.0, math.log10(math.log(1e300))))
+        problem = AnnulusProblem(n, k, R, wide(), wide())
+        with deadline(20):
+            shooting.solve_annulus(problem,
+                                   scan=shooting.default_scan(n, k, num=41))
+    for _ in range(20):
+        n = int(rng.integers(5, 41))
+        k = int(rng.integers(2, (n - 1) // 2 + 1))
+        c1, c2 = wide(), wide()
+        if c1 + c2 > 0.0:
+            c1, c2 = -c1, -c2
+        with deadline(20):
+            shooting.find_r_star(n, k, c1, c2,
+                                 scan=shooting.default_scan(n, k, num=41))
+
+
 def test_find_r_star_refuses_a_nan_scan_tolerance():
     with pytest.raises(ValueError, match="rtol"):
         shooting.find_r_star(5, 2, -0.3, 0.0, scan_rtol=math.nan)
+
+
+def _first_crossing_radius(n, k, c1, c2, R_max, num=20):
+    """exp(min T*) over seeds log-spaced from SEED_MARGIN inside the
+    admissibility edge xi0 = ln|c1|, or inf if no orbit gets there by
+    R_max.  T*(s) is the first time at which the outer residual
+    g(t) = xi_t + c2 e^{-xi-t} of seed s reaches 0; g(0) < 0 when
+    c1 + c2 < 0, so the annulus of radius e^{T*} is solvable, by that
+    seed, and no threshold can lie above it."""
+    def g(t, y):
+        return y[1] + c2 * math.exp(-y[0] - t)
+    g.terminal = True
+
+    T_star = math.inf
+    for s in math.log(abs(c1)) + np.geomspace(shooting.SEED_MARGIN, 1.0, num):
+        traj = radial.integrate((s, c1 * math.exp(-s)), math.log(R_max), n,
+                                k, extra_events=[g])
+        if traj.termination == "event:0":
+            T_star = min(T_star, traj.t_end)
+    return math.exp(T_star)
+
+
+def test_the_first_crossing_threshold_does_not_exceed_the_bracket():
+    # A radius that the scan grid finds solvable has a solution, so the
+    # threshold from first crossings cannot exceed a bracket's hi.  For
+    # the CLI examples it is 1.010768 and 1.030690, against hi values of
+    # 1.011016 and 1.031406: the grid reports radii a little too large.
+    searches = [shooting.find_r_star(n, k, c1, 0.0)
+                for n, k, c1 in ((5, 2, -0.3), (7, 3, -0.5))]
+    reference = pathlib.Path(__file__).parents[1] / "bench" / "reference"
+    stored = json.loads((reference / "shooting.json").read_text())
+    for verdict in stored["verdicts"]:
+        spec, answer = verdict["spec"], verdict["answer"]
+        if spec["kind"] == "rstar" and answer["status"] == "ok":
+            searches.append(types.SimpleNamespace(
+                n=spec["n"], k=spec["k"], c1=spec["c1"], c2=spec["c2"],
+                bracket=answer["bracket"]))
+    assert len(searches) == 50
+    for r in searches:
+        hi = r.bracket[1]
+        assert _first_crossing_radius(r.n, r.k, r.c1, r.c2, hi) <= hi, r
 
 
 # ------------------------------------------------------------ the seed fan
@@ -405,13 +479,18 @@ def _lanes_at(seeds, T, n, k, tol):
     return np.array([xi, xi_t])
 
 
-@pytest.mark.parametrize("n,k", [(5, 2), (7, 2), (7, 3)])
+@pytest.mark.parametrize("n,k", [(5, 2), (7, 2), (7, 3), (9, 4), (11, 5),
+                                 (13, 12)])
 @pytest.mark.parametrize("tol", [(1e-7, 1e-9), (1e-9, 1e-11)])
 def test_fan_reads_equal_fresh_scans(n, k, tol):
     # Each draw reads radii in a random order, one with R - 1 <= 1e-6,
     # which puts T below the starting step, and last a radius past every
-    # earlier read, which extends the fan.  c1 takes both ends of its
-    # range and two random values.
+    # earlier read, which extends the fan.  A second fan goes out to
+    # R = 60 first, which stops the lanes that the first integral proves
+    # break down before ln 60, and then comes back down: its reads replay
+    # stopped lanes at radii where they break down again and at radii
+    # they reach.  c1 takes both ends of its range and two random values;
+    # k = 12 runs the large-k right-hand side.
     rng = np.random.default_rng([n, k, round(-math.log10(tol[0]))])
     grid = shooting.default_scan(n, k, num=41).grid
     for c1 in (-0.6, 0.6, *rng.uniform(-0.6, 0.6, 2)):
@@ -419,11 +498,13 @@ def test_fan_reads_equal_fresh_scans(n, k, tol):
         radii.append(1.0 + 10.0 ** rng.uniform(-12.0, -6.0))
         order = [radii[i] for i in rng.permutation(len(radii))]
         order.append(1.5 * max(order))
-        fan, seeds = _fan_of(grid, n, k, c1, tol)
-        for R in order:
-            T = math.log(R)
-            assert _same_bits(fan.end_states(T),
-                              _lanes_at(seeds, T, n, k, tol))
+        down = [60.0, 30.0, 12.0, 6.0, 3.0, 2.0, 1.5, 1.2, 1.05, 8.0, 45.0]
+        for order in (order, down):
+            fan, seeds = _fan_of(grid, n, k, c1, tol)
+            for R in order:
+                T = math.log(R)
+                assert _same_bits(fan.end_states(T),
+                                  _lanes_at(seeds, T, n, k, tol))
 
 
 def test_a_lane_to_a_short_T_starts_with_the_unbounded_step():
