@@ -62,6 +62,10 @@ ETA_GUARD = 1e-12
 # ``event:<index>`` for caller-supplied events).
 TERMINATIONS = ("reached_T", "ellipticity_breakdown", "step_failure")
 
+# The lane loop's cause for a lane that the first integral proves breaks
+# down before T; unlike a guard hit, a read at a smaller T may not end it.
+_CERTIFIED = len(TERMINATIONS)
+
 
 def theta_constant(n: int, k: int) -> float:
     """Normalizing constant of the radial ODE: 2^(k-1) / binom(n-1, k-1)."""
@@ -782,8 +786,8 @@ def _certified_breakdown(sure, t, xi, xi_t, T, n, k):
     :func:`_breakdown_time` is not nan), and from its state (xi, xi_t) at
     time t it does so by T - 1e-3 max(1, T).  The seed's E keeps the rule
     off orbits that the integrator's error carries across E = 0, and the
-    margin off orbits that it might carry just past T.  False at T = inf,
-    where the horizon is nan.  Accepts arrays."""
+    margin off orbits that it might carry just past T.  Accepts
+    arrays."""
     return sure & (_breakdown_time(t, xi, xi_t, n, k)
                    <= T - 1e-3 * max(1.0, T))
 
@@ -851,17 +855,17 @@ def _lane_start(y0, n, k, rtol, atol):
     return np.array([y0[1], a]), h
 
 
-def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
-               accepted=None):
+def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, accepted=None):
     """The controller of :func:`integrate_lanes`, from given lane states.
 
     Lane i stands at time t[i] in state y[:, i], with derivative f[:, i]
     and proposed step h[i], as after an accepted step, and steps towards
-    T; y0[:, i] is its seed, which certifies breakdowns.  A lane parks,
-    leaving without a state, when the first trial from an accepted state
-    would reach ``stop``: t + h >= stop, with h after the ten-ulp floor.
-    After every round, ``accepted(i, t, y, f, h)`` receives the lanes i
-    that accepted a step and go on, with their new states.
+    T; y0[:, i] is its seed, which certifies breakdowns.  A trial that T
+    clips (t + h > T, with h after the ten-ulp floor) is the first whose
+    size depends on T, and so is every later step.  After every round,
+    ``accepted(i, t, y, f, h)`` receives the new states of the lanes i
+    that accepted a step, go on and have had no clipped trial: states
+    that a lane to any later end time passes through too.
 
     Each stage state is y plus h times the :func:`_stage_sum` of the
     stage derivatives before it, and the error estimate is the
@@ -870,44 +874,38 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
     elementwise and in a fixed order, so a lane takes the same steps
     whatever other lanes share its batch.
 
-    A lane also ends as a breakdown after an accepted step from which
+    A lane also ends after an accepted step from which
     :func:`_certified_breakdown` proves that the orbit reaches the
-    degenerate set before the horizon: T, or ``stop`` at T = inf (the
-    fan's extension).  Its exact orbit breaks down before the horizon,
-    and wherever it was tested the lane, integrated on, broke down as
-    well, with the same nan and cause, after the steps that cost the
-    most, near the pole.  A lane whose step fails is a breakdown by the
-    same rule, read at its last accepted state, and a step failure
-    otherwise.  The rule reads only the lane's own seed and state, so
-    the lanes that go on keep their steps.
+    degenerate set before T: its exact orbit does, and wherever this was
+    tested the lane, integrated on, broke down as well, with the same
+    nan, after the steps that cost the most, near the pole.  A lane
+    whose step fails is a breakdown by the same rule, read at its last
+    accepted state, and a step failure otherwise.  The rule reads only
+    the lane's own seed and state, so the lanes that go on keep their
+    steps.
 
     Returns (end, cause): the (2, m) state at T, nan unless the lane
-    reached it, and per lane an index into ``TERMINATIONS``, -1 for a
-    parked lane, or -2 for a lane that the rule ends at T = inf, whose
-    state at any T past ``stop`` is nan but which a read at a smaller T
-    must replay from its last accepted state.
+    reached it, and per lane an index into ``TERMINATIONS``, or
+    ``_CERTIFIED`` where the rule ends a lane after an accepted step.
     """
     th = theta_constant(n, k)
     beta = (n - 2.0 * k) / (2.0 * k)
     m = t.size
     end = np.full((2, m), np.nan)
-    cause = np.full(m, -1)
+    cause = np.empty(m, dtype=int)
     lane = np.arange(m)
-    rejected = np.zeros(m, dtype=bool)
+    rejected = clipped = np.zeros(m, dtype=bool)
     K = np.empty((7, 2, m))
     rhs = _lane_rhs if k < 12 else _large_k_rhs
-    # The seed's part of the certificate, read once; off with no horizon.
-    horizon = T if T < math.inf else stop
-    doomed = (horizon < math.inf) & ~np.isnan(
-        _breakdown_time(0.0, y0[0], y0[1], n, k))
+    # The seed's part of the certificate, read once.
+    doomed = ~np.isnan(_breakdown_time(0.0, y0[0], y0[1], n, k))
 
     with np.errstate(all="ignore"):
         while lane.size:
             min_step = 10.0 * np.spacing(t)
             h = np.where(~rejected & (h < min_step), min_step, h)
-            failed = leave = ~(h >= min_step)
-            if stop < math.inf:
-                leave = failed | (~rejected & (t + h >= stop))
+            failed = ~(h >= min_step)
+            clipped = clipped | (t + h > T)
             t_new = np.minimum(t + h, T)
             h = t_new - t
 
@@ -919,7 +917,7 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err = _rms(_stage_sum(_DP_E, K) * h / scale)
 
-            accept = (err < 1.0) & ~leave
+            accept = (err < 1.0) & ~failed
             power = _SAFETY * err ** _ERROR_EXPONENT
             grow = np.where(err == 0.0, _MAX_FACTOR,
                             np.minimum(_MAX_FACTOR, power))
@@ -935,27 +933,24 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, *, stop=math.inf,
             # are tested.
             proven = doomed[lane] & (y[1] > 0.0)
             if proven.any():
-                proven = _certified_breakdown(proven, t, y[0], y[1], horizon,
-                                              n, k)
+                proven = _certified_breakdown(proven, t, y[0], y[1], T, n, k)
             guarded = w <= ETA_GUARD
             fired = accept & (guarded | proven)
 
             reached = accept & (t >= T) & ~fired
             end[:, lane[reached]] = y[:, reached]
             cause[lane[reached]] = 0
-            cause[lane[fired]] = 1
-            if T == math.inf:
-                cause[lane[fired & ~guarded]] = -2
+            cause[lane[fired]] = np.where(guarded[fired], 1, _CERTIFIED)
             cause[lane[failed]] = np.where(proven[failed], 1, 2)
 
-            live = ~(reached | fired | leave)
+            live = ~(reached | fired | failed)
             if accepted is not None:
-                on = accept & live
+                on = accept & live & ~clipped
                 accepted(lane[on], t[on], y[:, on], f[:, on], h[on])
             if not live.all():
-                lane, y, f, h, t, rejected = (
+                lane, y, f, h, t, rejected, clipped = (
                     lane[live], y[:, live], f[:, live], h[live], t[live],
-                    rejected[live])
+                    rejected[live], clipped[live])
                 K = np.empty((7, 2, lane.size))
     return end, cause
 
@@ -1005,13 +1000,9 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
     lanes.
 
     A lane ends as a breakdown, with nan, as soon as the first integral
-    proves that it breaks down before T (see :func:`_lane_loop` and
-    :func:`_certified_breakdown`): the invariant E is negative at its
-    seed and at an accepted state with xi_t > 0, from which the orbit
-    reaches the degenerate set by T - 1e-3 max(1, T).  Integrated on,
-    such a lane ends the same way, after the steps that cost the most,
-    near the pole.  A lane whose step fails is a breakdown only where
-    the same rule proves it.
+    proves that it breaks down before T, and a lane whose step fails is
+    a breakdown only where the same rule proves it (see
+    :func:`_lane_loop` and :func:`_certified_breakdown`).
 
     A lane's result does not depend on its batch: every operation is
     elementwise, and the stage sums are formed in tableau order, as
@@ -1026,38 +1017,32 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
     f, h = _lane_start(y0, n, k, rtol, atol)
     end, cause = _lane_loop(y0, np.zeros(y0.shape[1]), y0, f, h, T, n, k,
                             rtol, atol)
-    termination = np.asarray(TERMINATIONS)[cause].reshape(shape)
+    names = TERMINATIONS + ("ellipticity_breakdown",)  # _CERTIFIED
+    termination = np.asarray(names)[cause].reshape(shape)
     return end[0].reshape(shape), end[1].reshape(shape), termination
 
 
 class LaneFan:
     """Lanes of :func:`integrate_lanes` for fixed seeds, read at any T.
 
-    The radial ODE is autonomous, so one trajectory per seed serves every
-    end time.  Each admissible seed (xi0, xi_t0) runs once on the lane
-    loop, with no end time, and the controller state after every
-    accepted step is kept as a checkpoint: t, the state, its derivative
-    and the proposed next step.  The checkpoints go only as far as the
-    largest T asked for so far, and are extended from there.  A lane that
-    the first integral proves breaks down before that T stops there (see
-    :func:`_lane_loop`), instead of paying for the steps near the pole.
+    The radial ODE is autonomous, and a lane starts from :func:`_start`,
+    the step of an unbounded span, so a lane integrated to T takes the
+    same steps whatever T is until its first trial that T clips (see
+    :func:`_lane_loop`); later trials from the same state only shrink.
+    The fan keeps the controller states after those steps (t, state,
+    derivative and proposed step) as checkpoints, one chain per seed from
+    the seed itself, and the lane to T passes through each checkpoint up
+    to the first whose first trial T clips.
 
-    A lane starts from :func:`_start`, the step of an unbounded span,
-    whatever its end time, so a lane integrated to T takes the same steps
-    until its first trial that would pass T.  Trial steps from a
-    checkpoint only shrink after the first, whose size is the
-    checkpoint's step, so the lane to T passes through the first
-    checkpoint whose first trial reaches T.  :meth:`end_states` replays
-    each lane from there, taking the last step or two on the same loop,
-    which gives bit for bit the state at T of :func:`integrate_lanes`,
-    since a lane's steps do not depend on its batch.
-
-    A lane with no such checkpoint broke down before T, or was stopped by
-    the first integral.  A stopped lane replays from its last checkpoint,
-    at T: the same steps as any lane to T.  If T is at least the stop at
-    which it was stopped, the replay's first accepted step proves the
-    breakdown again, so its read is nan; below that stop, the replay may
-    integrate on towards T, and its read is a fresh lane's.
+    :meth:`end_states` is one :func:`_lane_loop` run at T, each lane from
+    that checkpoint, or from its last one if T clips none, and gives bit
+    for bit the states of :func:`integrate_lanes`, since a lane's steps
+    do not depend on its batch.  Only a run from a lane's last checkpoint
+    accepts steps before a clipped trial, and those extend the chain.  A
+    lane whose guard hit or step failed before any clipped trial reads
+    nan at every later T.  A lane that the first integral ended did so
+    for that T only: a smaller T may step it on, and a larger one ends it
+    again after one step.
     """
 
     def __init__(self, xi0, xi_t0, n: int, k: int, *, rtol: float = 1e-10,
@@ -1068,9 +1053,7 @@ class LaneFan:
         m = self.seeds.shape[1]
         f0, h0 = _lane_start(self.seeds, n, k, rtol, atol)
         self._parts = [(np.arange(m), np.zeros(m), self.seeds, f0, h0)]
-        self._front = np.arange(m)  # lanes still going
         self._open = np.ones(m, dtype=bool)  # not ended by guard or failure
-        self._frontier = 0.0
         self._merge()
 
     def _merge(self):
@@ -1090,42 +1073,34 @@ class LaneFan:
         self._reach = self._t + np.where(self._h < min_step, min_step,
                                          self._h)
 
-    def _extend(self, T: float):
-        """Run the lanes still going until a checkpoint's trial reaches T."""
-        lanes = self._front
-        last = self._last[lanes]
-
-        def keep(i, *state):
-            self._parts.append((lanes[i],) + state)
-
-        _, cause = _lane_loop(
-            self.seeds[:, lanes], self._t[last], self._y[:, last],
-            self._f[:, last], self._h[last], math.inf, self.n, self.k,
-            self.rtol, self.atol, stop=T, accepted=keep)
-        self._front = lanes[cause == -1]
-        self._open[lanes[cause >= 0]] = False
-        self._frontier = T
-        self._merge()
-
     def end_states(self, T: float) -> np.ndarray:
         """The (2, m) states (xi, xi_t) of the seeds at T, nan where a lane
         stops first."""
         _check_args(*self.seeds, T, self.rtol, self.atol)
-        if T > self._frontier:
-            self._extend(T)
-        # Each lane replays from the first checkpoint whose first trial
-        # reaches T; with none, from its last if the first integral
-        # stopped it, and not at all if it ended before T.
+        # Each lane replays from the first checkpoint whose first trial T
+        # clips; with none, from its last if it is open, and not at all if
+        # it ended before T.
         count = self._t.size
-        hits = np.where(self._reach >= T, np.arange(count), count)
+        hits = np.where(self._reach > T, np.arange(count), count)
         first = np.minimum.reduceat(hits, self._first)
         first = np.where((first == count) & self._open, self._last, first)
         go = np.flatnonzero(first < count)
         at = first[go]
+        tip = at == self._last[go]
+
+        def keep(i, *state):
+            self._parts.append((go[i],) + state)
+
         end = np.full(self.seeds.shape, math.nan)
-        end[:, go], _ = _lane_loop(
+        end[:, go], cause = _lane_loop(
             self.seeds[:, go], self._t[at], self._y[:, at], self._f[:, at],
-            self._h[at], T, self.n, self.k, self.rtol, self.atol)
+            self._h[at], T, self.n, self.k, self.rtol, self.atol,
+            accepted=keep)
+        self._merge()
+        # A guard hit or step failure ends a lane at every T if its replay
+        # started at its chain's end and clipped no trial.
+        ended = go[tip & ((cause == 1) | (cause == 2))]
+        self._open[ended[self._reach[self._last[ended]] <= T]] = False
         return end
 
 

@@ -304,15 +304,21 @@ def solve_annulus(
     make every seed unevaluable and the answer a false ``empty``.  For
     the same reason ``scan_atol`` and ``atol`` must be positive when
     c1 = 0 or the grid holds the seed 0 (see
-    :func:`_check_zero_slope_atol`).  A result whose every bracket was
-    rejected is ``inconclusive`` too: refinement could not confirm a root
-    that may be there.
+    :func:`_check_zero_slope_atol`).  ``residual_bound``, ``merge_tol``
+    and ``gap_limit`` must not be nan or negative: a nan bound would
+    accept every root.  A result whose every bracket was rejected is
+    ``inconclusive`` too: refinement could not confirm a root that may be
+    there.
     """
     for name, tol in (("scan_rtol", scan_rtol), ("scan_atol", scan_atol),
                       ("rtol", rtol), ("atol", atol)):
         if not 0.0 <= tol < math.inf:
             raise ValueError(f"{name} must be finite and non-negative, "
                              f"got {tol!r}")
+    for name, value in (("residual_bound", residual_bound),
+                        ("merge_tol", merge_tol), ("gap_limit", gap_limit)):
+        if not value >= 0.0:
+            raise ValueError(f"{name} must be non-negative, got {value!r}")
     if scan is None:
         scan = default_scan(problem.n, problem.k)
     grid = scan.grid

@@ -567,17 +567,16 @@ def test_certified_lanes_break_down_before_T(monkeypatch):
 
 
 def test_fan_stopped_lanes_break_down_before_the_stop(monkeypatch):
-    # Each lane that a fan's extension ends early, with no state, must
-    # break down before that extension's stop on the float stepper, which
-    # has no early end.  Three reads extend each fan three times.
+    # Each lane that a fan read ends early by the first integral, with no
+    # state, must break down before that read's T on the float stepper,
+    # which has no early end.  Three reads run each fan.
     lane_loop = radial._lane_loop
     stopped = []
 
     def spy(y0, t, y, f, h, T, n, k, rtol, atol, **kwargs):
         end, cause = lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, **kwargs)
-        if T == math.inf:
-            stopped.extend((x, v, kwargs["stop"], n, k, rtol, atol)
-                           for x, v in y0[:, cause == -2].T.tolist())
+        stopped.extend((x, v, T, n, k, rtol, atol) for x, v in
+                       y0[:, cause == radial._CERTIFIED].T.tolist())
         return end, cause
 
     monkeypatch.setattr(radial, "_lane_loop", spy)
@@ -593,16 +592,17 @@ def test_fan_stopped_lanes_break_down_before_the_stop(monkeypatch):
         fan = radial.LaneFan(xs, vs, n, k, rtol=rtol, atol=atol)
         for R in (2.0, 8.0, 64.0):
             fan.end_states(math.log(R))
-    for x, v, stop, n, k, rtol, atol in stopped:
-        assert radial.integrate_endpoint(x, v, stop, n, k, rtol=rtol,
+    for x, v, T, n, k, rtol, atol in stopped:
+        assert radial.integrate_endpoint(x, v, T, n, k, rtol=rtol,
                                          atol=atol)[2] \
-            == "ellipticity_breakdown", (x, v, stop, n, k)
+            == "ellipticity_breakdown", (x, v, T, n, k)
     assert len(stopped) >= 250
 
 
 def test_a_fan_extension_skips_the_steps_of_stopped_lanes(monkeypatch):
-    # A 200-seed (5, 2) window extended to ln 64 takes fewer rounds of the
-    # lane loop than without the certificate, and reads the same bits.
+    # A 200-seed (5, 2) window first read at ln 64 takes fewer rounds of
+    # the lane loop than without the certificate, and reads the same
+    # bits.
     grid = shooting.default_scan(5, 2, num=200).grid
     ok, slopes = shooting._inner_slopes(grid, -0.3)
     rms, calls, rounds, reads = radial._rms, [0], [], []
@@ -619,7 +619,7 @@ def test_a_fan_extension_skips_the_steps_of_stopped_lanes(monkeypatch):
             fan = radial.LaneFan(grid[ok], slopes[ok], 5, 2, rtol=1e-7,
                                  atol=1e-9)
             calls[0] = 0
-            fan._extend(math.log(64.0))
+            fan.end_states(math.log(64.0))
             rounds.append(calls[0])
             reads.append([fan.end_states(math.log(R)).tobytes()
                           for R in (64.0, 20.0, 3.0, 1.5, 1.01)])

@@ -322,6 +322,16 @@ def test_solve_annulus_refuses_a_nan_tolerance(name):
         shooting.solve_annulus(problem, **{name: math.nan})
 
 
+@pytest.mark.parametrize("name,value", [
+    ("residual_bound", math.nan), ("residual_bound", -1e-10),
+    ("merge_tol", math.nan), ("merge_tol", -1e-6), ("gap_limit", -1)])
+def test_solve_annulus_refuses_a_nan_or_negative_bound(name, value):
+    # At residual_bound = nan, abs(res) > nan was False, so every polished
+    # root was accepted.
+    with pytest.raises(ValueError, match=name):
+        shooting.solve_annulus(AnnulusProblem(5, 2, 5.0), **{name: value})
+
+
 def test_solve_annulus_at_zero_tolerances_finds_the_default_solution():
     # Zero tolerances used to end every seed as a step failure and report
     # "empty".  An rtol below 100 eps is raised to it; a zero atol stays.
@@ -489,8 +499,10 @@ def test_fan_reads_equal_fresh_scans(n, k, tol):
     # R = 60 first, which stops the lanes that the first integral proves
     # break down before ln 60, and then comes back down: its reads replay
     # stopped lanes at radii where they break down again and at radii
-    # they reach.  c1 takes both ends of its range and two random values;
-    # k = 12 runs the large-k right-hand side.
+    # they reach.  That fan is last read at the times of three of its
+    # checkpoints, where the first trial from the checkpoint before may
+    # reach T exactly.  c1 takes both ends of its range and two random
+    # values; k = 12 runs the large-k right-hand side.
     rng = np.random.default_rng([n, k, round(-math.log10(tol[0]))])
     grid = shooting.default_scan(n, k, num=41).grid
     for c1 in (-0.6, 0.6, *rng.uniform(-0.6, 0.6, 2)):
@@ -505,6 +517,8 @@ def test_fan_reads_equal_fresh_scans(n, k, tol):
                 T = math.log(R)
                 assert _same_bits(fan.end_states(T),
                                   _lanes_at(seeds, T, n, k, tol))
+        for T in rng.choice(fan._t[fan._t > 0.0], 3).tolist():
+            assert _same_bits(fan.end_states(T), _lanes_at(seeds, T, n, k, tol))
 
 
 def test_a_lane_to_a_short_T_starts_with_the_unbounded_step():
@@ -545,32 +559,30 @@ def test_a_probe_reads_the_residuals_of_a_fresh_scan(c1):
 
 @pytest.mark.parametrize("search", ["rstar", "bifurcation"])
 def test_a_search_integrates_each_seed_from_zero_once(monkeypatch, search):
-    # The fan's open-ended runs (T = inf) must form one chain of steps per
-    # seed: each run resumes a seed where the last one left it, and every
-    # accepted step moves it forward.  Each probe is one replay call.
-    where, replays = {}, []
-    lane_loop = radial._lane_loop
+    # The fan's checkpoints must form one chain of steps per seed, from
+    # the seed at t = 0: each read only appends to a seed's chain, and
+    # every checkpoint is later than the one before it.  Each probe is
+    # one call of the lane loop.
+    chains, calls = {}, []
+    lane_loop, merge = radial._lane_loop, radial.LaneFan._merge
 
-    def counting(y0, t, *args, accepted=None, **kwargs):
-        if args[3] != math.inf:
-            replays.append(t.size)
-            return lane_loop(y0, t, *args, **kwargs)
-        for s, t_s in zip(y0[0].tolist(), t.tolist()):
-            assert t_s == where.get(s, 0.0)
-            where[s] = t_s
+    def counting(*args, **kwargs):
+        calls.append(args[5])
+        return lane_loop(*args, **kwargs)
 
-        def chained(i, t_i, *state):
-            for s, t_s in zip(y0[0, i].tolist(), t_i.tolist()):
-                assert t_s > where[s]
-                where[s] = t_s
-            accepted(i, t_i, *state)
-
-        return lane_loop(y0, t, *args, accepted=chained, **kwargs)
+    def chained(fan):
+        merge(fan)
+        for seed, a, b in zip(fan.seeds[0].tolist(), fan._first, fan._last):
+            ts, old = fan._t[a:b + 1].tolist(), chains.get(seed, [0.0])
+            assert ts[:len(old)] == old, seed
+            assert all(s < t for s, t in zip(ts, ts[1:])), seed
+            chains[seed] = ts
 
     def no_scan(*args, **kwargs):
         raise AssertionError("a probe integrated the scan grid afresh")
 
     monkeypatch.setattr(radial, "_lane_loop", counting)
+    monkeypatch.setattr(radial.LaneFan, "_merge", chained)
     monkeypatch.setattr(shooting, "integrate_lanes", no_scan)
     if search == "rstar":
         scan = shooting.default_scan(5, 2, num=60)
@@ -583,8 +595,43 @@ def test_a_search_integrates_each_seed_from_zero_once(monkeypatch, search):
         assert result.status == "ok"
         xi_c = shooting.cylinder_solution(7, 2)[0]
         seeds = shooting.ScanSpec(xi_c - 0.3, xi_c + 0.3, 30).grid
-    assert sorted(where) == seeds.tolist()
-    assert len(replays) == len(result.history)
+    assert sorted(chains) == seeds.tolist()
+    assert calls == [math.log(entry[0]) for entry in result.history]
+
+
+def test_a_fan_keeps_the_steps_it_replays(monkeypatch):
+    # Stored rstar verdict 47 of the benchmark reference.  Its first probe,
+    # at R = 1.01, ends lanes that the first integral proves break down
+    # before ln 1.01.  Its third, at R = 1.00625, reads below that
+    # horizon, where one such lane is not proven doomed and steps on to
+    # its breakdown near the pole.  A read keeps the steps it replays, so
+    # the same read again does not take them a second time.  Keeping none
+    # took the search 179 rounds of the lane loop, against 176 when the
+    # fan still stepped the doomed lanes to the pole.
+    n, k, c1, c2 = 7, 3, -0.3120426782498825, -0.14300102610984722
+    scan = shooting.ScanSpec(-4.9216660617923775, 5.0783339382076225, 100)
+    rms, rounds = radial._rms, [0]
+
+    def counting(a):
+        rounds[0] += 1
+        return rms(a)
+
+    monkeypatch.setattr(radial, "_rms", counting)  # once per round
+    result = shooting.find_r_star(n, k, c1, c2, scan=scan)
+    assert result.status == "ok" and rounds[0] <= 176, rounds
+
+    tol = (1e-7, 1e-9)
+    fan, seeds = _fan_of(scan.grid, n, k, c1, tol)
+    costs = []
+    for R in (1.01, 1.00625, 1.00625):
+        rounds[0] = 0
+        T = math.log(R)
+        got = fan.end_states(T)
+        costs.append(rounds[0])
+        assert _same_bits(got, _lanes_at(seeds, T, n, k, tol))
+    assert costs[2] < costs[1], costs
+    for a, b in zip(fan._first, fan._last):
+        assert (np.diff(fan._t[a:b + 1]) > 0.0).all()
 
 
 # ----------------------------------------------------- synthetic residuals
