@@ -351,10 +351,14 @@ def gradient_bound_check(
 
     Points of the cloud strictly inside the sphere of radius ``lam_bar``
     around x must satisfy |grad log w(y)| (lam_bar - |y-x|) <= n - 2.
-    ``grad_log_w`` maps an (m, n) array to an (m, n) array.
+    ``grad_log_w`` maps an (m, n) array to an (m, n) array.  A radius
+    that is not positive and finite, which no point is inside, is
+    refused rather than passed vacuously.
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
+    if not 0.0 < lam_bar < math.inf:
+        raise ValueError(f"lam_bar must be positive and finite: {lam_bar}")
     x = _vec(x)
     Y = np.asarray(cloud, dtype=float)
     dist = np.sqrt(np.einsum("ij,ij->i", Y - x, Y - x))

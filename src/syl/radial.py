@@ -62,10 +62,6 @@ ETA_GUARD = 1e-12
 # ``event:<index>`` for caller-supplied events).
 TERMINATIONS = ("reached_T", "ellipticity_breakdown", "step_failure")
 
-# The lane loop's cause for a lane that the first integral proves breaks
-# down before T; unlike a guard hit, a read at a smaller T may not end it.
-_CERTIFIED = len(TERMINATIONS)
-
 
 def theta_constant(n: int, k: int) -> float:
     """Normalizing constant of the radial ODE: 2^(k-1) / binom(n-1, k-1)."""
@@ -329,7 +325,7 @@ def _clamped_accel(n, k):
     (1 - xi_t^2)^(1-k) overflows a float (k >= 12 near the degenerate
     set) it is taken as inf, the value numpy gives the lanes, and where
     e^{-2k xi} is then 0 and 1 - xi_t^2 was not clamped, the product is
-    taken in log form, as :func:`_large_k_rhs` takes it.  A clamped trial
+    taken in log form, as :func:`_lane_rhs` takes it.  A clamped trial
     keeps its nan, so that the step is rejected.  For k <= 11 the pole
     of a clamped state cannot overflow, and the closure has no such
     branch.  The scalar twin of the second row of :func:`_lane_rhs`.
@@ -717,27 +713,21 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=()):
 
 def _lane_rhs(y, k, th, beta, out):
     """The clamped right-hand side of :func:`integrate` on (2, m) states,
-    written into ``out``.  Returns the clamped 1 - xi_t^2.
+    written into ``out``: the one right-hand side of the lanes, for every
+    k.  Returns the clamped 1 - xi_t^2.
+
+    For k >= 12 the pole can overflow, and where w = 1 - xi_t^2 was not
+    clamped a nan is 0 * inf: e^{-2k xi} underflowed.  Those entries take
+    the product in log form, as :func:`_clamped_accel` does; clamped
+    trials keep their nan, so that the step is rejected.
     """
     v = np.where(np.abs(y[1]) < 1e150, y[1], 1e150)
     w = np.maximum(1.0 - v * v, 1e-30)
     growth = np.exp(np.minimum(-2.0 * k * y[0], 700.0))
     out[0] = y[1]
     out[1] = th * growth * w ** (1 - k) - beta * w
-    return w
-
-
-def _large_k_rhs(y, k, th, beta, out):
-    """:func:`_lane_rhs` for k >= 12, where the pole can overflow.
-
-    Where w = 1 - xi_t^2 was not clamped, a nan is 0 * inf: e^{-2k xi}
-    underflowed where the pole overflowed.  Those entries take the
-    product in log form, as :func:`_clamped_accel` does; clamped trials
-    keep their nan, so that the step is rejected.
-    """
-    w = _lane_rhs(y, k, th, beta, out)
-    lost = np.isnan(out[1]) & (w > 1e-30)
-    if lost.any():
+    if k >= 12:
+        lost = np.isnan(out[1]) & (w > 1e-30)
         out[1, lost] = th * np.exp(np.minimum(
             -2.0 * k * y[0, lost] + (1 - k) * np.log(w[lost]), 700.0)) \
             - beta * w[lost]
@@ -867,26 +857,25 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, accepted=None):
     that accepted a step, go on and have had no clipped trial: states
     that a lane to any later end time passes through too.
 
-    Each stage state is y plus h times the :func:`_stage_sum` of the
-    stage derivatives before it, and the error estimate is the
-    ``_DP_E`` sum over all seven; those derivatives, K, are the loop's
-    only scratch, and shrink with the live lanes.  Every operation is
-    elementwise and in a fixed order, so a lane takes the same steps
-    whatever other lanes share its batch.
+    Each stage state is y plus h times the :func:`_stage_sum` of the stage
+    derivatives before it, each :func:`_lane_rhs` of its state, and the
+    error estimate is the ``_DP_E`` sum over all seven; those derivatives,
+    K, are the loop's only scratch, and shrink with the live lanes.  Every
+    operation is elementwise and in a fixed order, so a lane takes the same
+    steps whatever other lanes share its batch.
 
-    A lane also ends after an accepted step from which
-    :func:`_certified_breakdown` proves that the orbit reaches the
-    degenerate set before T: its exact orbit does, and wherever this was
-    tested the lane, integrated on, broke down as well, with the same
-    nan, after the steps that cost the most, near the pole.  A lane
-    whose step fails is a breakdown by the same rule, read at its last
-    accepted state, and a step failure otherwise.  The rule reads only
-    the lane's own seed and state, so the lanes that go on keep their
-    steps.
+    A lane also ends as a breakdown, as a guard hit does, after an
+    accepted step from which :func:`_certified_breakdown` proves that the
+    orbit reaches the degenerate set before T: its exact orbit does, and
+    wherever this was tested the lane, integrated on, broke down as well,
+    with the same nan, after the steps that cost the most, near the pole.
+    A lane whose step fails is a breakdown by the same rule, read at its
+    last accepted state, and a step failure otherwise.  The rule reads
+    only the lane's own seed and state, so the lanes that go on keep
+    their steps.
 
     Returns (end, cause): the (2, m) state at T, nan unless the lane
-    reached it, and per lane an index into ``TERMINATIONS``, or
-    ``_CERTIFIED`` where the rule ends a lane after an accepted step.
+    reached it, and per lane an index into ``TERMINATIONS``.
     """
     th = theta_constant(n, k)
     beta = (n - 2.0 * k) / (2.0 * k)
@@ -896,7 +885,6 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, accepted=None):
     lane = np.arange(m)
     rejected = clipped = np.zeros(m, dtype=bool)
     K = np.empty((7, 2, m))
-    rhs = _lane_rhs if k < 12 else _large_k_rhs
     # The seed's part of the certificate, read once.
     doomed = ~np.isnan(_breakdown_time(0.0, y0[0], y0[1], n, k))
 
@@ -911,9 +899,9 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, accepted=None):
 
             K[0] = f
             for s, row in enumerate(_DP_A, start=1):
-                rhs(y + _stage_sum(row, K) * h, k, th, beta, out=K[s])
+                _lane_rhs(y + _stage_sum(row, K) * h, k, th, beta, out=K[s])
             y_new = y + _stage_sum(_DP_B, K) * h
-            w = rhs(y_new, k, th, beta, out=K[6])
+            w = _lane_rhs(y_new, k, th, beta, out=K[6])
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err = _rms(_stage_sum(_DP_E, K) * h / scale)
 
@@ -934,13 +922,12 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, accepted=None):
             proven = doomed[lane] & (y[1] > 0.0)
             if proven.any():
                 proven = _certified_breakdown(proven, t, y[0], y[1], T, n, k)
-            guarded = w <= ETA_GUARD
-            fired = accept & (guarded | proven)
+            fired = accept & ((w <= ETA_GUARD) | proven)
 
             reached = accept & (t >= T) & ~fired
             end[:, lane[reached]] = y[:, reached]
             cause[lane[reached]] = 0
-            cause[lane[fired]] = np.where(guarded[fired], 1, _CERTIFIED)
+            cause[lane[fired]] = 1
             cause[lane[failed]] = np.where(proven[failed], 1, 2)
 
             live = ~(reached | fired | failed)
@@ -1017,8 +1004,7 @@ def integrate_lanes(xi0, xi_t0, T, n: int, k: int, *,
     f, h = _lane_start(y0, n, k, rtol, atol)
     end, cause = _lane_loop(y0, np.zeros(y0.shape[1]), y0, f, h, T, n, k,
                             rtol, atol)
-    names = TERMINATIONS + ("ellipticity_breakdown",)  # _CERTIFIED
-    termination = np.asarray(names)[cause].reshape(shape)
+    termination = np.asarray(TERMINATIONS)[cause].reshape(shape)
     return end[0].reshape(shape), end[1].reshape(shape), termination
 
 
@@ -1034,15 +1020,15 @@ class LaneFan:
     the seed itself, and the lane to T passes through each checkpoint up
     to the first whose first trial T clips.
 
-    :meth:`end_states` is one :func:`_lane_loop` run at T, each lane from
-    that checkpoint, or from its last one if T clips none, and gives bit
-    for bit the states of :func:`integrate_lanes`, since a lane's steps
-    do not depend on its batch.  Only a run from a lane's last checkpoint
-    accepts steps before a clipped trial, and those extend the chain.  A
-    lane whose guard hit or step failed before any clipped trial reads
-    nan at every later T.  A lane that the first integral ended did so
-    for that T only: a smaller T may step it on, and a larger one ends it
-    again after one step.
+    :meth:`end_states` is one :func:`_lane_loop` run at T over every
+    lane, each from that checkpoint, or from its last one if T clips
+    none, and gives bit for bit the states of :func:`integrate_lanes`,
+    since a lane's steps do not depend on its batch.  Only a run from a
+    lane's last checkpoint accepts steps before a clipped trial, and
+    those extend the chain.  A lane that ended, by the guard, a failed
+    step or the first integral, is replayed from its last checkpoint at
+    the next read and ends again on the same bits if that read's T clips
+    none of its trials.
     """
 
     def __init__(self, xi0, xi_t0, n: int, k: int, *, rtol: float = 1e-10,
@@ -1053,7 +1039,6 @@ class LaneFan:
         m = self.seeds.shape[1]
         f0, h0 = _lane_start(self.seeds, n, k, rtol, atol)
         self._parts = [(np.arange(m), np.zeros(m), self.seeds, f0, h0)]
-        self._open = np.ones(m, dtype=bool)  # not ended by guard or failure
         self._merge()
 
     def _merge(self):
@@ -1078,29 +1063,15 @@ class LaneFan:
         stops first."""
         _check_args(*self.seeds, T, self.rtol, self.atol)
         # Each lane replays from the first checkpoint whose first trial T
-        # clips; with none, from its last if it is open, and not at all if
-        # it ended before T.
+        # clips, or else from its last.
         count = self._t.size
         hits = np.where(self._reach > T, np.arange(count), count)
-        first = np.minimum.reduceat(hits, self._first)
-        first = np.where((first == count) & self._open, self._last, first)
-        go = np.flatnonzero(first < count)
-        at = first[go]
-        tip = at == self._last[go]
-
-        def keep(i, *state):
-            self._parts.append((go[i],) + state)
-
-        end = np.full(self.seeds.shape, math.nan)
-        end[:, go], cause = _lane_loop(
-            self.seeds[:, go], self._t[at], self._y[:, at], self._f[:, at],
-            self._h[at], T, self.n, self.k, self.rtol, self.atol,
-            accepted=keep)
+        at = np.minimum(np.minimum.reduceat(hits, self._first), self._last)
+        end, _ = _lane_loop(self.seeds, self._t[at], self._y[:, at],
+                            self._f[:, at], self._h[at], T, self.n, self.k,
+                            self.rtol, self.atol,
+                            accepted=lambda *part: self._parts.append(part))
         self._merge()
-        # A guard hit or step failure ends a lane at every T if its replay
-        # started at its chain's end and clipped no trial.
-        ended = go[tip & ((cause == 1) | (cause == 2))]
-        self._open[ended[self._reach[self._last[ended]] <= T]] = False
         return end
 
 

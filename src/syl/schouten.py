@@ -91,8 +91,11 @@ def eigenvalues(A: np.ndarray, *, sym_tol: float = 1e-9) -> np.ndarray:
     stays a numpy sum of ``np.triu(a, 1) ** 2``, because numpy's pairwise
     summation order is not a left-to-right float loop's; the triangle is
     cut by a mask kept per n rather than rebuilt every sweep.  Non-finite
-    entries are refused.
+    entries are refused, and so is a ``sym_tol`` outside [0, inf): a nan
+    one would skip the symmetry check and a negative one fail it always.
     """
+    if not 0.0 <= sym_tol < math.inf:
+        raise ValueError(f"sym_tol must be finite and >= 0: {sym_tol}")
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")

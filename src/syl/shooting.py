@@ -184,10 +184,6 @@ class ShootingResult:
         return len(self.solutions)
 
 
-class _Gap(Exception):
-    """Raised when a root refinement steps onto an unevaluable seed."""
-
-
 def _seed_state(s: float, c1: float) -> RadialState | None:
     xi_t0 = c1 * math.exp(-s)
     if abs(xi_t0) > 1.0 - SEED_MARGIN:
@@ -350,19 +346,18 @@ def solve_annulus(
     xtol = 1e-13 if polish else 1e-10
     # brentq returns a point it has evaluated, so its residual is read
     # back, not integrated again; only an exact grid zero is evaluated.
+    # brentq refuses a nan value, a seed it cannot evaluate, by ValueError.
     memo = {}
 
-    def guarded(s):
+    def remembered(s):
         v = memo[s] = fine(s)
-        if math.isnan(v):
-            raise _Gap(s)
         return v
 
     found = []
     for (a, b) in diag.brackets:
         try:
-            root = a if a == b else brentq(guarded, a, b, xtol=xtol)
-        except (_Gap, ValueError) as exc:
+            root = a if a == b else brentq(remembered, a, b, xtol=xtol)
+        except ValueError as exc:
             diag.rejected.append(("refine_failed", a, b, repr(exc)))
             continue
         res = memo[root] if root in memo else fine(root)

@@ -293,6 +293,18 @@ def test_gradient_bound_check_refuses_low_dimensions():
                                     1.0, cloud, n=2)
 
 
+@pytest.mark.parametrize("lam_bar", [math.nan, 0.0, -1.0, math.inf])
+def test_gradient_bound_check_refuses_a_radius_not_positive_and_finite(
+        lam_bar):
+    # A nan or non-positive radius holds no point, so a gradient of 100
+    # would pass vacuously.
+    n = 4
+    cloud = np.random.default_rng(5).normal(size=(50, n)) * 0.3
+    with pytest.raises(ValueError, match="lam_bar"):
+        mobius.gradient_bound_check(lambda Y: 100.0 * np.ones_like(Y),
+                                    np.zeros(n), lam_bar, cloud, n=n)
+
+
 def test_gradient_bound_holds_inside_the_critical_sphere():
     n = 5
     b = schouten.Bubble(n)  # a = 1, critical radius 1

@@ -376,9 +376,9 @@ def test_large_k_breakdown_follows_the_tanh_closed_form(deadline):
 def _large_k_lane_accel(x, v, n, k):
     out = np.empty((2, 1))
     with np.errstate(all="ignore"):  # as in the lane loop
-        radial._large_k_rhs(np.array([[x], [v]]), k,
-                            radial.theta_constant(n, k),
-                            (n - 2.0 * k) / (2.0 * k), out)
+        radial._lane_rhs(np.array([[x], [v]]), k,
+                         radial.theta_constant(n, k),
+                         (n - 2.0 * k) / (2.0 * k), out)
     return out[1, 0]
 
 
@@ -567,16 +567,17 @@ def test_certified_lanes_break_down_before_T(monkeypatch):
 
 
 def test_fan_stopped_lanes_break_down_before_the_stop(monkeypatch):
-    # Each lane that a fan read ends early by the first integral, with no
-    # state, must break down before that read's T on the float stepper,
-    # which has no early end.  Three reads run each fan.
+    # Each lane that a fan read ends as a breakdown, by the guard or
+    # early by the first integral, must break down before that read's T
+    # on the float stepper, which has no early end.  Three reads run each
+    # fan.
     lane_loop = radial._lane_loop
     stopped = []
 
     def spy(y0, t, y, f, h, T, n, k, rtol, atol, **kwargs):
         end, cause = lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, **kwargs)
         stopped.extend((x, v, T, n, k, rtol, atol) for x, v in
-                       y0[:, cause == radial._CERTIFIED].T.tolist())
+                       y0[:, cause == 1].T.tolist())
         return end, cause
 
     monkeypatch.setattr(radial, "_lane_loop", spy)

@@ -52,6 +52,15 @@ def test_eigenvalues_refuses_non_finite_entries(bad, where):
         schouten.eigenvalues(A)
 
 
+@pytest.mark.parametrize("sym_tol", [math.nan, -1e-9, math.inf])
+def test_eigenvalues_refuses_a_symmetry_tolerance_outside_0_inf(sym_tol):
+    # A nan tolerance skips the symmetry check, giving [3.5, -1.5] for
+    # this matrix; a negative one rejects even the identity.
+    for A in ([[1.0, 5.0], [0.0, 1.0]], np.eye(2)):
+        with pytest.raises(ValueError, match="sym_tol"):
+            schouten.eigenvalues(np.array(A), sym_tol=sym_tol)
+
+
 def _numpy_rotation_loop(A, sym_tol=1e-9):
     """The cyclic Jacobi loop as numpy row and column operations: the
     reference the float-row rotations must reproduce bit for bit."""

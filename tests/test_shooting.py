@@ -474,6 +474,56 @@ def test_the_first_crossing_threshold_does_not_exceed_the_bracket():
         assert _first_crossing_radius(r.n, r.k, r.c1, r.c2, hi) <= hi, r
 
 
+@pytest.mark.parametrize("n,k,c1", [(5, 2, -0.3), (7, 3, -0.5)])
+def test_a_dense_edge_scan_brackets_the_first_crossing_threshold(n, k, c1):
+    # With c2 = 0, a scan dense next to the admissibility edge finds no
+    # solution just below the first-crossing threshold R* and one just
+    # above it.
+    R_star = _first_crossing_radius(n, k, c1, 0.0, 2.0, num=200)
+    lo = math.log(abs(c1) / (1.0 - shooting.SEED_MARGIN))
+    scan = shooting.ScanSpec(lo, lo + 0.5, 4000)
+    below = shooting.solve_annulus(
+        AnnulusProblem(n, k, 1.0 + 0.999 * (R_star - 1.0), c1, 0.0),
+        scan=scan)
+    above = shooting.solve_annulus(
+        AnnulusProblem(n, k, 1.0 + 1.001 * (R_star - 1.0), c1, 0.0),
+        scan=scan)
+    assert below.status == "empty", R_star
+    assert above.status == "ok" and len(above.solutions) == 1, R_star
+
+
+def _stored_solves():
+    reference = pathlib.Path(__file__).parents[1] / "bench" / "reference"
+    stored = json.loads((reference / "shooting.json").read_text())
+    return [v["spec"] for v in stored["verdicts"]
+            if v["spec"]["kind"] == "solve"]
+
+
+# The stored solves, by file order, whose scan misses a root that the
+# reflected scan finds or the other way round (ROADMAP item 12).
+_REFLECTION_MISSES = {10, 12, 13, 23, 25, 27, 28, 38, 40, 42, 43, 55, 57, 58}
+
+
+@pytest.mark.parametrize("i", [
+    pytest.param(i, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 12: a scan misses a root"))
+    if i in _REFLECTION_MISSES else i for i in range(60)])
+def test_a_reflected_solve_finds_the_outer_values(i):
+    # r -> R/r maps a solution with data (c1, c2) to one with data
+    # (c2/R, c1 R) whose seed is the first's xi(T): the same answer.
+    spec = _stored_solves()[i]
+    n, k, R, c1, c2 = (spec[name] for name in ("n", "k", "R", "c1", "c2"))
+    scan = shooting.ScanSpec(*spec["scan"])
+    got = shooting.solve_annulus(AnnulusProblem(n, k, R, c1, c2), scan=scan)
+    mirror = shooting.solve_annulus(AnnulusProblem(n, k, R, c2 / R, c1 * R),
+                                    scan=scan)
+    assert mirror.status == got.status
+    ends = sorted(s.trajectory.final_state.xi for s in got.solutions)
+    seeds = sorted(s.xi0 for s in mirror.solutions)
+    assert len(seeds) == len(ends)
+    assert np.allclose(seeds, ends, rtol=0.0, atol=1e-9), (ends, seeds)
+
+
 # ------------------------------------------------------------ the seed fan
 
 
