@@ -165,11 +165,10 @@ def ode_invariant(xi, xi_t, n: int, k: int):
     Orbits with E > 0 never reach |xi_t| = 1; orbits with E < 0 do.  Used
     as an integrator-accuracy oracle.
     """
-    th = theta_constant(n, k)
     xi = np.asarray(xi, dtype=float)
     w = 1.0 - np.asarray(xi_t, dtype=float) ** 2
     out = w ** k * np.exp(-(n - 2.0 * k) * xi) \
-        - (2.0 * k * th / n) * np.exp(-n * xi)
+        - _invariant_tail(n, k) * np.exp(-n * xi)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -734,6 +733,17 @@ def _lane_rhs(y, k, th, beta, out):
     return w
 
 
+# A first-integral verdict is sure when E clears B e^{-n xi} by this
+# relative margin, which rounding cannot fake.
+_SURE = 1e-6
+
+
+def _invariant_tail(n, k):
+    """B = 2k theta / n, the coefficient of e^{-n xi} in the invariant E
+    of :func:`ode_invariant`."""
+    return 2.0 * k * theta_constant(n, k) / n
+
+
 def _breakdown_time(t, xi, xi_t, n, k):
     """A time by which the orbit through (xi, xi_t) at time t reaches the
     degenerate set 1 - xi_t^2 = 0: inf where it is sure to reach it but
@@ -755,18 +765,33 @@ def _breakdown_time(t, xi, xi_t, n, k):
     xi by xi_b = ln(-B/E)/n, where w = 0, so the orbit reaches the
     degenerate set by t + (xi_b - xi) / xi_t.
 
-    Sure means E < -1e-6 B e^{-n xi}, a relative margin that rounding
-    cannot fake, with E and xi_b finite: a state too far out for floats
-    is left to the integrator.
+    Sure means E < -1e-6 B e^{-n xi} (``_SURE``), with E and xi_b finite:
+    a state too far out for floats is left to the integrator.
     """
-    b = 2.0 * k * theta_constant(n, k) / n
+    b = _invariant_tail(n, k)
     with np.errstate(all="ignore"):  # extreme states overflow; then nan
         tail = b * np.exp(-n * xi)
         E = (1.0 - xi_t * xi_t) ** k * np.exp((2.0 * k - n) * xi) - tail
         xi_b = np.log(-b / E) / n
         time = np.where(xi_t > 0.0, t + (xi_b - xi) / xi_t, math.inf)
-    return np.where((E < -1e-6 * tail) & np.isfinite(E + xi_b), time,
+    return np.where((E < -_SURE * tail) & np.isfinite(E + xi_b), time,
                     math.nan)
+
+
+def _survival_seed(n, k, c1):
+    """The inner value s* from which every seed (xi, xi_t) = (s, c1 e^{-s})
+    with s >= s* is sure to survive: its orbit never reaches the
+    degenerate set 1 - xi_t^2 = 0, so it reaches any T.
+
+    With w and B as in :func:`_breakdown_time`, the seed has
+    E e^{ns} = (e^{2s} - c1^2)^k - B, which increases with s.  E > 0 makes
+    w^k = B e^{-2k xi} + E e^{(n-2k) xi} positive at every xi, and
+    |xi_t| < 1 keeps xi finite in finite time.  s* is where the seed's E
+    clears the margin of :func:`_breakdown_time` with the sign flipped,
+    E = 1e-6 B e^{-ns}.
+    """
+    b = _invariant_tail(n, k)
+    return 0.5 * math.log(c1 * c1 + (b * (1.0 + _SURE)) ** (1.0 / k))
 
 
 def _certified_breakdown(sure, t, xi, xi_t, T, n, k):

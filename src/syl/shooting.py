@@ -31,6 +31,7 @@ from .radial import (
     AnnulusProblem,
     LaneFan,
     RadialState,
+    _survival_seed,
     brentq,
     integrate,
     integrate_endpoint,
@@ -294,7 +295,10 @@ def solve_annulus(
     The radius searches pass ``_residuals``, the scan residuals read from
     the :class:`radial.LaneFan` of their grid (see :func:`_prober`), so
     the grid is not integrated again.  A single solve scans afresh:
-    building a fan to read it once costs about 13% more.
+    building a fan to read it once costs about 13% more.  Such a probe,
+    always polish-free, only counts: a bracket that surely holds one root
+    of its own (:func:`_certain_brackets`) is not refined, and its
+    solution is the bracket's scan end of smaller residual.
 
     The four tolerances must be finite and non-negative: a nan one would
     make every seed unevaluable and the answer a false ``empty``.  For
@@ -339,6 +343,9 @@ def solve_annulus(
         left = np.append(left, grid.size - 1)
         right = np.append(right, grid.size - 1)
     diag.brackets = list(zip(grid[left], grid[right]))
+    s_star = (math.inf if _residuals is None
+              else _survival_seed(problem.n, problem.k, problem.c1))
+    counted = _certain_brackets(grid, left, right, s_star, merge_tol)
 
     # Each bracket is refined once, on the map at the solution tolerance.
     tol = (rtol, atol) if polish else (scan_rtol, scan_atol)
@@ -354,9 +361,13 @@ def solve_annulus(
         return v
 
     found = []
-    for (a, b) in diag.brackets:
+    for (a, b), i, j, sure in zip(diag.brackets, left, right, counted):
+        if sure:
+            i = i if abs(residuals[i]) <= abs(residuals[j]) else j
+            memo[grid[i]] = residuals[i]
         try:
-            root = a if a == b else brentq(remembered, a, b, xtol=xtol)
+            root = grid[i] if sure or a == b else brentq(remembered, a, b,
+                                                          xtol=xtol)
         except ValueError as exc:
             diag.rejected.append(("refine_failed", a, b, repr(exc)))
             continue
@@ -412,7 +423,9 @@ def _prober(n, k, c1, c2, scan, scan_rtol, scan_atol):
 
     The admissible seeds of the scan grid are integrated once, as a
     :class:`radial.LaneFan`, and every probe passes the solve its scan
-    residuals, read from the fan at T = ln R.
+    residuals, read from the fan at T = ln R.  The probe's solutions are
+    counted, not used: a root that refinement cannot drop or merge is
+    left unrefined (see :func:`solve_annulus`).
     """
     grid = scan.grid
     ok, xi_t0 = _inner_slopes(grid, c1)
@@ -426,6 +439,29 @@ def _prober(n, k, c1, c2, scan, scan_rtol, scan_atol):
                              scan_atol=scan_atol, polish=False,
                              _residuals=_outer_residual(problem, xi, xi_t))
     return probe
+
+
+def _certain_brackets(grid, left, right, s_star, merge_tol):
+    """Which brackets (``grid`` indices ``left``, ``right``) surely hold
+    one root that no other root merges with, so that refining them
+    cannot change a count.
+
+    Every seed of a bracket survives to T when its lower seed is at least
+    ``s_star`` (:func:`radial._survival_seed`).  So the residual of the
+    exact orbit is continuous there, and the scan's sign change brackets
+    a root that brentq cannot miss.  That is a statement about the exact
+    orbit: on long annuli the integrator can still fail on such orbits
+    near the separatrix, and there refinement would reject a root that a
+    probe counts.
+
+    When no other bracket has an end in common with it, and the grid's
+    cells are wider than ``merge_tol``, its root lies farther than that
+    from every other bracket's root.  An exact grid zero (left == right)
+    has its cell as both ends, so it is not counted here.
+    """
+    ends = np.bincount(np.concatenate([left, right]), minlength=grid.size)
+    return ((grid[left] >= s_star) & (ends[left] == 1) & (ends[right] == 1)
+            & (np.diff(grid).min() > merge_tol))
 
 
 def _bisect(upper, lo, hi, width):

@@ -680,3 +680,23 @@ def test_breakdown_time_reads_the_sign_of_the_invariant():
     traj = radial.integrate((-1.0, 0.5), 10.0, 5, 2)
     assert traj.termination == "ellipticity_breakdown"
     assert 1.0 + traj.t_end <= got[1]
+
+
+def test_seeds_from_the_survival_seed_have_a_surely_positive_invariant():
+    # Random (n, k, c1) with n > 2k.  At every seed s > s*, with
+    # xi_t0 = c1 e^{-s}, E exceeds the margin 1e-6 B e^{-ns}, and
+    # E e^{ns} = (e^{2s} - c1^2)^k - B increases with s.  At s* itself E
+    # is the margin, so s* is no higher than it must be.
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        k = int(rng.integers(1, 8))
+        n = int(rng.integers(max(3, 2 * k + 1), 2 * k + 12))
+        c1 = float(rng.uniform(-2.0, 2.0))
+        b = 2.0 * k * radial.theta_constant(n, k) / n
+        s_star = radial._survival_seed(n, k, c1)
+        s = s_star + np.sort(rng.uniform(0.0, 4.0, 50))
+        E = radial.ode_invariant(s, c1 * np.exp(-s), n, k)
+        assert (E > 1e-6 * b * np.exp(-n * s)).all(), (n, k, c1)
+        assert (np.diff(E * np.exp(n * s)) > 0.0).all(), (n, k, c1)
+        assert radial.ode_invariant(s_star, c1 * math.exp(-s_star), n, k) \
+            == pytest.approx(1e-6 * b * math.exp(-n * s_star), rel=1e-3)

@@ -1,6 +1,7 @@
 """Tests for the annulus shooting layer: scans, thresholds, and sweeps."""
 
 import csv
+import inspect
 import json
 import math
 import pathlib
@@ -594,7 +595,9 @@ def test_a_lane_to_a_short_T_starts_with_the_unbounded_step():
 
 @pytest.mark.parametrize("c1", [-0.6, -0.3, 0.6])
 def test_a_probe_reads_the_residuals_of_a_fresh_scan(c1):
-    # c1 = +-0.6 makes the low end of the grid inadmissible.
+    # c1 = +-0.6 makes the low end of the grid inadmissible.  A probe
+    # leaves some roots unrefined, so it matches a fresh polish-free
+    # solve in status and count, not in each root.
     scan = shooting.default_scan(5, 2, num=40)
     tol = dict(scan_rtol=1e-7, scan_atol=1e-9)
     probe = shooting._prober(5, 2, c1, 0.3, scan, *tol.values())
@@ -604,7 +607,167 @@ def test_a_probe_reads_the_residuals_of_a_fresh_scan(c1):
                                        scan=scan, polish=False, **tol)
         assert _same_bits(served.diagnostics.residuals,
                           fresh.diagnostics.residuals)
-        assert [s.xi0 for s in served] == [s.xi0 for s in fresh]
+        assert (served.status, len(served)) == (fresh.status, len(fresh))
+
+
+def _stored_searches():
+    """(spec, stored answer, scan, c1, c2, (scan_rtol, scan_atol)) of each
+    stored radius search, with the scan and inner data of its _prober."""
+    reference = pathlib.Path(__file__).parents[1] / "bench" / "reference"
+    stored = json.loads((reference / "shooting.json").read_text())
+    searches = []
+    for verdict in stored["verdicts"]:
+        spec = verdict["spec"]
+        if spec["kind"] == "rstar":
+            search = shooting.find_r_star
+            scan, c1, c2 = shooting.ScanSpec(*spec["scan"]), spec["c1"], \
+                spec["c2"]
+        elif spec["kind"] == "bifurcation":
+            search = shooting.verify_bifurcation
+            xi_c = shooting.cylinder_solution(spec["n"], spec["k"])[0]
+            scan, c1, c2 = shooting.ScanSpec(
+                xi_c - spec["window"], xi_c + spec["window"],
+                spec["num"]), 0.0, 0.0
+        else:
+            continue
+        defaults = inspect.signature(search).parameters
+        tol = tuple(defaults["scan_" + name].default
+                    for name in ("rtol", "atol"))
+        searches.append((spec, verdict["answer"], scan, c1, c2, tol))
+    assert len(searches) == 60
+    return searches
+
+
+def _certified(result):
+    """The brackets of a probe's result that it counts unrefined."""
+    problem, grid = result.problem, result.diagnostics.grid
+    left, right = np.searchsorted(
+        grid, np.reshape(result.diagnostics.brackets, (-1, 2))).T
+    s_star = radial._survival_seed(problem.n, problem.k, problem.c1)
+    sure = shooting._certain_brackets(grid, left, right, s_star, 1e-6)
+    return [bracket for bracket, counted in
+            zip(result.diagnostics.brackets, sure) if counted]
+
+
+def test_probes_count_unrefined_only_roots_that_refinement_keeps(
+        monkeypatch):
+    # At every radius of the 60 stored searches' histories, a probe
+    # answers the status and count of one that refines every bracket
+    # (s* = inf).  Each bracket it counts unrefined holds exactly one root
+    # of that full refinement, and its solution is an end of the bracket;
+    # every other solution is the full refinement's, bit for bit.  So
+    # every stored history stands.  Probe brentq took 5290 evaluations of
+    # the residual when every bracket was refined; the certificate brings
+    # that to 3350.  Run with -s to print the counts.
+    evals, refine = {True: 0, False: 0}, shooting.brentq
+    brackets = certified = 0
+    bad = []
+
+    def counting(full):
+        def search(f, a, b, **kwargs):
+            def counted(s):
+                evals[full] += 1
+                return f(s)
+            return refine(counted, a, b, **kwargs)
+        return search
+
+    for spec, answer, scan, c1, c2, tol in _stored_searches():
+        probe = shooting._prober(spec["n"], spec["k"], c1, c2, scan, *tol)
+        for R, *_ in answer["history"]:
+            with monkeypatch.context() as m:
+                m.setattr(shooting, "_survival_seed", lambda *_: math.inf)
+                m.setattr(shooting, "brentq", counting(True))
+                full = probe(R)
+            with monkeypatch.context() as m:
+                m.setattr(shooting, "brentq", counting(False))
+                got = probe(R)
+            sure = _certified(got)
+            brackets += len(got.diagnostics.brackets)
+            certified += len(sure)
+
+            def outside(result):
+                return [sol.xi0 for sol in result
+                        if not any(a <= sol.xi0 <= b for a, b in sure)]
+
+            if ((got.status, len(got)) != (full.status, len(full))
+                    or outside(got) != outside(full)
+                    or any(sum(a <= sol.xi0 <= b for sol in full) != 1
+                           or sum(sol.xi0 in (a, b) for sol in got) != 1
+                           for a, b in sure)):
+                bad.append((spec, R))
+    print(f"60 stored radius searches: {brackets} brackets, {certified} "
+          f"certified, {brackets - certified} refined, {len(bad)} "
+          f"disagreements; probe brentq evaluations {evals[True]} -> "
+          f"{evals[False]}")
+    assert bad == []
+    assert (brackets, certified) == (647, 220)
+    assert evals[False] <= 3350 < evals[True]
+
+
+def test_a_bifurcation_probe_refines_only_uncertain_brackets(monkeypatch):
+    # Stored bifurcation verdict (7, 2).  A probe calls brentq on each
+    # sign change whose lower seed lies below the survival seed s* or
+    # that shares an end with another bracket, and on no other bracket.
+    probes, refined = [], []
+    solve, refine = shooting.solve_annulus, shooting.brentq
+
+    def solving(problem, **kwargs):
+        refined.clear()
+        result = solve(problem, **kwargs)
+        probes.append((result.diagnostics.brackets, list(refined)))
+        return result
+
+    def refining(f, a, b, **kwargs):
+        refined.append((a, b))
+        return refine(f, a, b, **kwargs)
+
+    monkeypatch.setattr(shooting, "solve_annulus", solving)
+    monkeypatch.setattr(shooting, "brentq", refining)
+    result = shooting.verify_bifurcation(7, 2, window=0.3, num=30)
+    assert result.status == "ok"
+    assert len(probes) == len(result.history)
+    s_star = math.log(2 * 2 * radial.theta_constant(7, 2) / 7
+                      * (1.0 + 1e-6)) / 4
+    skipped = 0
+    for brackets, calls in probes:
+        ends = [end for bracket in brackets for end in bracket]
+        uncertain = [(a, b) for a, b in brackets
+                     if a < b and (a < s_star
+                                   or ends.count(a) + ends.count(b) > 2)]
+        assert calls == uncertain
+        skipped += len(brackets) - len(uncertain)
+    assert skipped > 0
+
+
+def test_a_long_annulus_probe_counts_as_full_refinement(monkeypatch):
+    # (10, 2), c1 = 0.33, R = 4540.  Every seed is above s* (about
+    # -0.45), so every orbit survives, yet at the scan tolerance the
+    # integrator ends each seed from 2.3 up nan: a truncated band of 25
+    # cells.  The two brackets below it are counted at their scan ends,
+    # and full refinement finds one root in each, rejecting none.
+    probe = shooting._prober(10, 2, 0.33, 1e4, shooting.ScanSpec(1.5, 3.5, 41),
+                             1e-7, 1e-9)
+    got = probe(4540.0)
+    assert radial._survival_seed(10, 2, 0.33) < 1.5
+    assert got.diagnostics.truncated_high == 25
+    assert got.diagnostics.brackets == [(1.75, 1.8), (2.2, 2.25)]
+    assert (got.status, [sol.xi0 for sol in got]) == ("ok", [1.75, 2.25])
+    monkeypatch.setattr(shooting, "_survival_seed", lambda *_: math.inf)
+    full = probe(4540.0)
+    assert full.status == "ok" and full.diagnostics.rejected == []
+    assert [round(sol.xi0, 6) for sol in full] == [1.755281, 2.244963]
+
+
+def test_a_probe_counts_unrefined_only_isolated_cells_above_the_seed():
+    # Cells (2, 3) and (3, 4) share an end, (8, 8) is an exact zero and
+    # (0, 1) starts below s*: only (6, 7) is counted unrefined, and only
+    # when the grid's cells are wider than the merge radius.
+    left, right = np.array([0, 2, 3, 6, 8]), np.array([1, 3, 4, 7, 8])
+    for width, want in ((2e-6, True), (1e-6, False)):
+        grid = np.arange(10) * width
+        got = shooting._certain_brackets(grid, left, right, 0.5 * width,
+                                         1e-6)
+        assert got.tolist() == [False, False, False, want, False]
 
 
 @pytest.mark.parametrize("search", ["rstar", "bifurcation"])
