@@ -1040,20 +1040,22 @@ class LaneFan:
     the step of an unbounded span, so a lane integrated to T takes the
     same steps whatever T is until its first trial that T clips (see
     :func:`_lane_loop`); later trials from the same state only shrink.
-    The fan keeps the controller states after those steps (t, state,
-    derivative and proposed step) as checkpoints, one chain per seed from
-    the seed itself, and the lane to T passes through each checkpoint up
-    to the first whose first trial T clips.
+    The fan logs the controller states after those steps (t, state,
+    derivative and proposed step) as checkpoints in ``_log``, five flat
+    arrays (lane, t, y, f, h) in arrival order, with lane i's newest at
+    ``_last[i]``: its entries, from the seed itself, are its chain, and
+    the lane to T passes through each up to the first whose first trial
+    T clips.
 
     :meth:`end_states` is one :func:`_lane_loop` run at T over every
-    lane, each from that checkpoint, or from its last one if T clips
-    none, and gives bit for bit the states of :func:`integrate_lanes`,
-    since a lane's steps do not depend on its batch.  Only a run from a
-    lane's last checkpoint accepts steps before a clipped trial, and
-    those extend the chain.  A lane that ended, by the guard, a failed
-    step or the first integral, is replayed from its last checkpoint at
-    the next read and ends again on the same bits if that read's T clips
-    none of its trials.
+    lane, each from that checkpoint, or from its newest if T clips none,
+    and gives bit for bit the states of :func:`integrate_lanes`, since a
+    lane's steps do not depend on its batch.  Only a run from a lane's
+    newest checkpoint accepts steps before a clipped trial, and those are
+    appended, so each chain stays in time order.  A lane that ended, by
+    the guard, a failed step or the first integral, is replayed from its
+    newest checkpoint at the next read and ends again on the same bits if
+    that read's T clips none of its trials.
     """
 
     def __init__(self, xi0, xi_t0, n: int, k: int, *, rtol: float = 1e-10,
@@ -1063,40 +1065,26 @@ class LaneFan:
         self.n, self.k, self.rtol, self.atol = n, k, rtol, atol
         m = self.seeds.shape[1]
         f0, h0 = _lane_start(self.seeds, n, k, rtol, atol)
-        self._parts = [(np.arange(m), np.zeros(m), self.seeds, f0, h0)]
-        self._merge()
-
-    def _merge(self):
-        """Order the checkpoints lane by lane, each lane in time order."""
-        lane, t, y, f, h = (np.concatenate(parts, axis=-1)
-                            for parts in zip(*self._parts))
-        order = np.argsort(lane, kind="stable")
-        lane, self._t, self._y, self._f, self._h = (
-            lane[order], t[order], y[:, order], f[:, order], h[order])
-        self._parts = [(lane, self._t, self._y, self._f, self._h)]
-        lanes = np.arange(self.seeds.shape[1])
-        self._first = np.searchsorted(lane, lanes)
-        self._last = np.searchsorted(lane, lanes, side="right") - 1
-        # Where the first trial from each checkpoint ends, as the lane
-        # loop computes it: t + h after the ten-ulp floor.
-        min_step = 10.0 * np.spacing(self._t)
-        self._reach = self._t + np.where(self._h < min_step, min_step,
-                                         self._h)
+        self._log = (np.arange(m), np.zeros(m), self.seeds, f0, h0)
+        self._last = np.arange(m)
 
     def end_states(self, T: float) -> np.ndarray:
         """The (2, m) states (xi, xi_t) of the seeds at T, nan where a lane
         stops first."""
         _check_args(*self.seeds, T, self.rtol, self.atol)
-        # Each lane replays from the first checkpoint whose first trial T
-        # clips, or else from its last.
-        count = self._t.size
-        hits = np.where(self._reach > T, np.arange(count), count)
-        at = np.minimum(np.minimum.reduceat(hits, self._first), self._last)
-        end, _ = _lane_loop(self.seeds, self._t[at], self._y[:, at],
-                            self._f[:, at], self._h[at], T, self.n, self.k,
-                            self.rtol, self.atol,
-                            accepted=lambda *part: self._parts.append(part))
-        self._merge()
+        lane, t, y, f, h = self._log
+        # Each lane replays from its earliest checkpoint whose first trial,
+        # after the loop's ten-ulp floor, T clips, or else from its newest.
+        clips = np.flatnonzero(t + np.maximum(h, 10.0 * np.spacing(t)) > T)
+        at = self._last.copy()
+        np.minimum.at(at, lane[clips], clips)
+        log = [self._log]
+        end, _ = _lane_loop(self.seeds, t[at], y[:, at], f[:, at], h[at], T,
+                            self.n, self.k, self.rtol, self.atol,
+                            accepted=lambda *part: log.append(part))
+        self._log = tuple(np.concatenate(a, axis=-1) for a in zip(*log))
+        new = np.arange(t.size, self._log[1].size)
+        np.maximum.at(self._last, self._log[0][new], new)
         return end
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -113,8 +114,7 @@ class ScanSpec:
             raise ValueError("scan window must be finite")
         if not self.lo < self.hi:
             raise ValueError("scan window must have lo < hi")
-        if self.num < 2:
-            raise ValueError("scan needs at least two points")
+        _check_count(num=self.num)
 
     @property
     def grid(self) -> np.ndarray:
@@ -401,6 +401,14 @@ def _check_positive(**values):
     for name, value in values.items():
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, "
+                             f"got {value!r}")
+
+
+def _check_count(**counts):
+    """Refuse a sample count that is not an integer of at least 2."""
+    for name, value in counts.items():
+        if not (hasattr(value, "__index__") and operator.index(value) >= 2):
+            raise ValueError(f"{name} must be an integer of at least 2, "
                              f"got {value!r}")
 
 
@@ -725,6 +733,7 @@ def counterexample_sweep(
         raise ValueError("needs a negative inner Robin constant c")
     if not 0.0 < delta < 0.5:
         raise ValueError("needs 0 < delta < 1/2")
+    _check_count(num_window=num_window)
     eps_values = [float(e) for e in eps_values]
     if not eps_values:
         raise ValueError("needs at least one eps")

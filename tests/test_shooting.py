@@ -61,8 +61,11 @@ def test_scan_spec_validates_window():
         shooting.ScanSpec(1.0, 1.0)
     with pytest.raises(ValueError):
         shooting.ScanSpec(2.0, 1.0)
-    with pytest.raises(ValueError):
-        shooting.ScanSpec(0.0, 1.0, num=1)
+    # A sample count must be an integer of at least two.
+    for num in (1, 0, True, 2.0, 30.5, "3"):
+        with pytest.raises(ValueError):
+            shooting.ScanSpec(0.0, 1.0, num=num)
+    assert shooting.ScanSpec(0.0, 1.0, num=np.int64(3)).spacing == 0.5
 
 
 @pytest.mark.parametrize("lo,hi", [(-math.inf, 0.0), (0.0, math.inf),
@@ -461,11 +464,9 @@ def test_the_first_crossing_threshold_does_not_exceed_the_bracket():
     # 1.011016 and 1.031406: the grid reports radii a little too large.
     searches = [shooting.find_r_star(n, k, c1, 0.0)
                 for n, k, c1 in ((5, 2, -0.3), (7, 3, -0.5))]
-    reference = pathlib.Path(__file__).parents[1] / "bench" / "reference"
-    stored = json.loads((reference / "shooting.json").read_text())
-    for verdict in stored["verdicts"]:
+    for verdict in _stored_verdicts("rstar"):
         spec, answer = verdict["spec"], verdict["answer"]
-        if spec["kind"] == "rstar" and answer["status"] == "ok":
+        if answer["status"] == "ok":
             searches.append(types.SimpleNamespace(
                 n=spec["n"], k=spec["k"], c1=spec["c1"], c2=spec["c2"],
                 bracket=answer["bracket"]))
@@ -493,11 +494,16 @@ def test_a_dense_edge_scan_brackets_the_first_crossing_threshold(n, k, c1):
     assert above.status == "ok" and len(above.solutions) == 1, R_star
 
 
-def _stored_solves():
+def _stored_verdicts(*kinds):
+    """The benchmark's stored shooting verdicts of the given kinds, in file
+    order."""
     reference = pathlib.Path(__file__).parents[1] / "bench" / "reference"
     stored = json.loads((reference / "shooting.json").read_text())
-    return [v["spec"] for v in stored["verdicts"]
-            if v["spec"]["kind"] == "solve"]
+    return [v for v in stored["verdicts"] if v["spec"]["kind"] in kinds]
+
+
+def _stored_solves():
+    return [v["spec"] for v in _stored_verdicts("solve")]
 
 
 # The stored solves, by file order, whose scan misses a root that the
@@ -525,6 +531,33 @@ def test_a_reflected_solve_finds_the_outer_values(i):
     assert np.allclose(seeds, ends, rtol=0.0, atol=1e-9), (ends, seeds)
 
 
+def test_scan_lanes_end_like_the_float_stepper_on_the_stored_solves():
+    # Each scan lane of the 60 stored solves ends as the float stepper
+    # ends its seed: at T or nan, by the same cause.  Run with -s to print
+    # the counts.
+    defaults = inspect.signature(shooting.solve_annulus).parameters
+    tol = {name: defaults["scan_" + name].default
+           for name in ("rtol", "atol")}
+    specs = _stored_solves()
+    bad, count = [], 0
+    for spec in specs:
+        n, k, T = spec["n"], spec["k"], math.log(spec["R"])
+        grid = shooting.ScanSpec(*spec["scan"]).grid
+        ok, slopes = shooting._inner_slopes(grid, spec["c1"])
+        seeds, slopes = grid[ok].tolist(), slopes[ok].tolist()
+        xi, _, causes = radial.integrate_lanes(seeds, slopes, T, n, k, **tol)
+        for s, v, x, cause in zip(seeds, slopes, xi.tolist(),
+                                  causes.tolist()):
+            count += 1
+            got = radial.integrate_endpoint(s, v, T, n, k, **tol)
+            if got[2] != cause or math.isnan(got[0]) != math.isnan(x):
+                bad.append((spec, s, cause, got[2]))
+    print(f"{len(specs)} stored solves, {count} scan lanes, {len(bad)} "
+          f"disagreements")
+    assert bad == []
+    assert (len(specs), count) == (60, 8397)
+
+
 # ------------------------------------------------------------ the seed fan
 
 
@@ -532,6 +565,15 @@ def _fan_of(grid, n, k, c1, tol):
     ok, xi_t0 = shooting._inner_slopes(grid, c1)
     seeds = grid[ok], xi_t0[ok]
     return radial.LaneFan(*seeds, n, k, rtol=tol[0], atol=tol[1]), seeds
+
+
+def _chains(fan):
+    """Each lane's checkpoint times, in the fan's log order, after checking
+    that ``_last`` indexes each lane's newest checkpoint."""
+    lane, t = fan._log[:2]
+    lanes = [np.flatnonzero(lane == i) for i in range(fan._last.size)]
+    assert fan._last.tolist() == [at[-1] for at in lanes]
+    return [t[at].tolist() for at in lanes]
 
 
 def _lanes_at(seeds, T, n, k, tol):
@@ -568,7 +610,8 @@ def test_fan_reads_equal_fresh_scans(n, k, tol):
                 T = math.log(R)
                 assert _same_bits(fan.end_states(T),
                                   _lanes_at(seeds, T, n, k, tol))
-        for T in rng.choice(fan._t[fan._t > 0.0], 3).tolist():
+        t = fan._log[1]
+        for T in rng.choice(t[t > 0.0], 3).tolist():
             assert _same_bits(fan.end_states(T), _lanes_at(seeds, T, n, k, tol))
 
 
@@ -613,23 +656,19 @@ def test_a_probe_reads_the_residuals_of_a_fresh_scan(c1):
 def _stored_searches():
     """(spec, stored answer, scan, c1, c2, (scan_rtol, scan_atol)) of each
     stored radius search, with the scan and inner data of its _prober."""
-    reference = pathlib.Path(__file__).parents[1] / "bench" / "reference"
-    stored = json.loads((reference / "shooting.json").read_text())
     searches = []
-    for verdict in stored["verdicts"]:
+    for verdict in _stored_verdicts("rstar", "bifurcation"):
         spec = verdict["spec"]
         if spec["kind"] == "rstar":
             search = shooting.find_r_star
             scan, c1, c2 = shooting.ScanSpec(*spec["scan"]), spec["c1"], \
                 spec["c2"]
-        elif spec["kind"] == "bifurcation":
+        else:
             search = shooting.verify_bifurcation
             xi_c = shooting.cylinder_solution(spec["n"], spec["k"])[0]
             scan, c1, c2 = shooting.ScanSpec(
                 xi_c - spec["window"], xi_c + spec["window"],
                 spec["num"]), 0.0, 0.0
-        else:
-            continue
         defaults = inspect.signature(search).parameters
         tol = tuple(defaults["scan_" + name].default
                     for name in ("rtol", "atol"))
@@ -772,30 +811,31 @@ def test_a_probe_counts_unrefined_only_isolated_cells_above_the_seed():
 
 @pytest.mark.parametrize("search", ["rstar", "bifurcation"])
 def test_a_search_integrates_each_seed_from_zero_once(monkeypatch, search):
-    # The fan's checkpoints must form one chain of steps per seed, from
-    # the seed at t = 0: each read only appends to a seed's chain, and
-    # every checkpoint is later than the one before it.  Each probe is
-    # one call of the lane loop.
+    # The fan's log must hold one chain of steps per seed, from the seed
+    # at t = 0: each read only appends to a seed's chain, and every
+    # checkpoint is later than the one before it.  Each probe is one call
+    # of the lane loop.
     chains, calls = {}, []
-    lane_loop, merge = radial._lane_loop, radial.LaneFan._merge
+    lane_loop, end_states = radial._lane_loop, radial.LaneFan.end_states
 
     def counting(*args, **kwargs):
         calls.append(args[5])
         return lane_loop(*args, **kwargs)
 
-    def chained(fan):
-        merge(fan)
-        for seed, a, b in zip(fan.seeds[0].tolist(), fan._first, fan._last):
-            ts, old = fan._t[a:b + 1].tolist(), chains.get(seed, [0.0])
+    def chained(fan, T):
+        end = end_states(fan, T)
+        for seed, ts in zip(fan.seeds[0].tolist(), _chains(fan)):
+            old = chains.get(seed, [0.0])
             assert ts[:len(old)] == old, seed
             assert all(s < t for s, t in zip(ts, ts[1:])), seed
             chains[seed] = ts
+        return end
 
     def no_scan(*args, **kwargs):
         raise AssertionError("a probe integrated the scan grid afresh")
 
     monkeypatch.setattr(radial, "_lane_loop", counting)
-    monkeypatch.setattr(radial.LaneFan, "_merge", chained)
+    monkeypatch.setattr(radial.LaneFan, "end_states", chained)
     monkeypatch.setattr(shooting, "integrate_lanes", no_scan)
     if search == "rstar":
         scan = shooting.default_scan(5, 2, num=60)
@@ -843,8 +883,49 @@ def test_a_fan_keeps_the_steps_it_replays(monkeypatch):
         costs.append(rounds[0])
         assert _same_bits(got, _lanes_at(seeds, T, n, k, tol))
     assert costs[2] < costs[1], costs
-    for a, b in zip(fan._first, fan._last):
-        assert (np.diff(fan._t[a:b + 1]) > 0.0).all()
+    for ts in _chains(fan):
+        assert (np.diff(ts) > 0.0).all()
+
+
+def test_fan_reads_equal_fresh_lanes_on_the_stored_searches(monkeypatch):
+    # Each stored radius search's fan reads its history's radii in stored
+    # order, then again in reverse from the checkpoints that the first
+    # pass kept, and every read is bit for bit the fresh lanes at its
+    # radius.  The lane loop took 4098 and 1292 rounds for the two passes
+    # when the fan sorted its checkpoints lane by lane after every read.
+    # Run with -s to print the counts.
+    rms, rounds = radial._rms, [0]
+
+    def counting(a):
+        rounds[0] += 1
+        return rms(a)
+
+    monkeypatch.setattr(radial, "_rms", counting)  # once per round
+    passes = {name: {"reads": 0, "rounds": 0, "bad": []}
+              for name in ("stored", "reverse")}
+    searches = _stored_searches()
+    for spec, answer, scan, c1, _, tol in searches:
+        n, k = spec["n"], spec["k"]
+        radii = [R for R, *_ in answer["history"]]
+        fan, seeds = _fan_of(scan.grid, n, k, c1, tol)
+        fresh = {R: _lanes_at(seeds, math.log(R), n, k, tol) for R in radii}
+        for name, order in (("stored", radii), ("reverse", radii[::-1])):
+            tally = passes[name]
+            for R in order:
+                start = rounds[0]
+                got = fan.end_states(math.log(R))
+                tally["reads"] += 1
+                tally["rounds"] += rounds[0] - start
+                if got.tobytes() != fresh[R].tobytes():
+                    tally["bad"].append((spec, R))
+    for name, tally in passes.items():
+        print(f"{len(searches)} stored radius searches, {name} order: "
+              f"{tally['reads']} fan reads, {tally['rounds']} lane-loop "
+              f"rounds, {len(tally['bad'])} differences")
+    assert passes["stored"]["bad"] == passes["reverse"]["bad"] == []
+    assert passes["stored"]["reads"] == passes["reverse"]["reads"] == 878
+    assert passes["stored"]["rounds"] <= 4098
+    assert passes["reverse"]["rounds"] <= 1292
 
 
 # ----------------------------------------------------- synthetic residuals
@@ -1086,6 +1167,7 @@ def test_verify_bifurcation_fails_without_a_branch_jump(monkeypatch):
     {"window": 0.0}, {"window": -0.5}, {"window": math.nan},
     {"span": 0.0}, {"span": 1.0}, {"span": math.nan},
     {"rel_tol": 0.0}, {"rel_tol": math.nan}, {"rel_tol": math.inf},
+    {"num": 30.5}, {"num": 30.0}, {"num": 1},
 ])
 def test_verify_bifurcation_refuses_degenerate_search_parameters(
         monkeypatch, kwargs):
@@ -1126,6 +1208,10 @@ def test_counterexample_sweep_validates_inputs():
     with pytest.raises(ValueError):
         # inside (0, delta) but already outside the velocity window
         shooting.counterexample_sweep(5, 2, -1.0, 0.4, [0.3])
+    for num_window in (0, 1, 2.0, 256.5):
+        with pytest.raises(ValueError):
+            shooting.counterexample_sweep(5, 2, -1.0, 0.05, [1e-3],
+                                          num_window=num_window)
 
 
 def test_counterexample_sweep_bounded_gradient_unbounded_hessian(tmp_path):
