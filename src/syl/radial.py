@@ -20,7 +20,6 @@ eigenvalues.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import operator
 import warnings
@@ -129,29 +128,39 @@ def u_from_xi(xi, t, n: int):
 def ode_rhs(xi, xi_t, n: int, k: int, theta: float | None = None):
     """Second derivative xi_tt prescribed by the radial ODE.
 
-    Pure evaluation: callers own the ellipticity guard.  Vectorizes over
-    (xi, xi_t) arrays.  For k >= 12 the pole (1-xi_t^2)^(1-k) can
-    overflow while 1-xi_t^2 > 0 (k >= 27 inside the guard), and e^{-2k xi}
-    can underflow to 0; where both happen the product is taken as
-    exp(min(-2k xi + (1-k) ln(1-xi_t^2), 700)), as the lanes take it,
-    instead of 0 * inf = nan.
+    Pure evaluation: callers own the ellipticity guard, so the pole at
+    1 - xi_t^2 = 0 and numpy's warnings stay.  Vectorizes over (xi, xi_t)
+    arrays.  The unclamped body of the lanes' right-hand side
+    (:func:`_pole_rhs`), so it takes their k >= 12 log form.
     """
     th = theta_constant(n, k) if theta is None else theta
-    xi = np.asarray(xi, dtype=float)
     w = 1.0 - np.asarray(xi_t, dtype=float) ** 2
-    beta = (n - 2.0 * k) / (2.0 * k)
+    out = _pole_rhs(-2.0 * k * np.asarray(xi, dtype=float), w, k, th,
+                    (n - 2.0 * k) / (2.0 * k))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _pole_rhs(e, w, k, th, beta):
+    """theta e^e w^(1-k) - beta w, with e = -2k xi and w = 1 - xi_t^2:
+    the acceleration of :func:`ode_rhs` and of the lanes (which clamp
+    their w below at 1e-30 and e above at 700).  Arrays.
+
+    For k >= 12 the pole w^(1-k) can overflow while w > 0 (k >= 27 inside
+    the guard), and e^e can underflow to 0.  Where the result is then
+    nan, 0 * inf, and w > 1e-30, the product is taken in log form,
+    exp(min(e + (1-k) ln w, 700)); :func:`_clamped_accel` takes it alike.
+    A clamped trial keeps its nan, so that the step is rejected.
+    """
     if k < 12:
-        out = th * np.exp(-2.0 * k * xi) * w ** (1 - k) - beta * w
-        return float(out) if np.ndim(out) == 0 else out
+        return th * np.exp(e) * w ** (1 - k) - beta * w
     with np.errstate(over="ignore", invalid="ignore"):  # mended below
-        growth, pole = np.exp(-2.0 * k * xi), w ** (1 - k)
-        out = th * growth * pole - beta * w
-    lost = (pole == np.inf) & (growth == 0.0) & (w > 0.0)
+        out = th * np.exp(e) * w ** (1 - k) - beta * w
+    lost = np.isnan(out) & (w > 1e-30)
     if lost.any():
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(lost, th * np.exp(np.minimum(
-                -2.0 * k * xi + (1 - k) * np.log(w), 700.0)) - beta * w, out)
-    return float(out) if np.ndim(out) == 0 else out
+                e + (1 - k) * np.log(w), 700.0)) - beta * w, out)
+    return out
 
 
 def ode_invariant(xi, xi_t, n: int, k: int):
@@ -219,6 +228,7 @@ class Trajectory:
 
     def sample(self, num: int = 200) -> np.ndarray:
         """(num, 3) array of (t, xi, xi_t) equally spaced on [0, t_end]."""
+        _check_count(num=num)
         ts = np.linspace(0.0, self.t_end, num)
         xi, xi_t = self._eval(ts)
         return np.column_stack([ts, xi, xi_t])
@@ -294,20 +304,14 @@ def integrate(
                         events=events)
 
     if sol.status == -1:
-        sure = ~np.isnan(_breakdown_time(0.0, y0[0], y0[1], n, k))
-        if _certified_breakdown(sure, sol.t[-1], sol.y[0, -1], sol.y[1, -1],
-                                T_max, n, k):
-            termination = "ellipticity_breakdown"
-        else:
-            termination = "step_failure"
+        termination = _failed_step(y0, sol.t[-1], sol.y[0, -1], sol.y[1, -1],
+                                   T_max, n, k)
         t_end = float(sol.t[-1])
     elif sol.status == 1:
-        hit = [i for i, te in enumerate(sol.t_events) if te.size > 0]
-        first = min(hit, key=lambda i: sol.t_events[i][0])
-        if first == 0:
-            termination = "ellipticity_breakdown"
-        else:
-            termination = f"event:{first - 1}"
+        # solve_ivp records only the event that stopped it.
+        first = next(i for i, te in enumerate(sol.t_events) if te.size)
+        termination = ("ellipticity_breakdown" if first == 0
+                       else f"event:{first - 1}")
         t_end = float(sol.t_events[first][0])
     else:
         termination = "reached_T"
@@ -324,10 +328,10 @@ def _clamped_accel(n, k):
     (1 - xi_t^2)^(1-k) overflows a float (k >= 12 near the degenerate
     set) it is taken as inf, the value numpy gives the lanes, and where
     e^{-2k xi} is then 0 and 1 - xi_t^2 was not clamped, the product is
-    taken in log form, as :func:`_lane_rhs` takes it.  A clamped trial
+    taken in log form, as :func:`_pole_rhs` takes it.  A clamped trial
     keeps its nan, so that the step is rejected.  For k <= 11 the pole
     of a clamped state cannot overflow, and the closure has no such
-    branch.  The scalar twin of the second row of :func:`_lane_rhs`.
+    branch.  The float twin of the second row of :func:`_lane_rhs`.
     """
     th = theta_constant(n, k)
     beta = (n - 2.0 * k) / (2.0 * k)
@@ -540,17 +544,13 @@ class DenseSolution:
             i = np.searchsorted(self.ts, t, side="left")
             return self.steps[min(max(i - 1, 0), last)](t)
         order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
         t_sorted = t[order]
         segments = np.clip(np.searchsorted(self.ts, t_sorted, side="left")
                            - 1, 0, last)
-        ys, start = [], 0
-        for segment, group in itertools.groupby(segments):
-            end = start + len(list(group))
-            ys.append(self.steps[segment](t_sorted[start:end]))
-            start = end
-        return np.hstack(ys)[:, reverse]
+        starts = np.flatnonzero(np.diff(segments, prepend=-1))
+        ys = [self.steps[segment](part) for segment, part in
+              zip(segments[starts], np.split(t_sorted, starts[1:]))]
+        return np.hstack(ys)[:, np.argsort(order)]
 
 
 @dataclass
@@ -713,23 +713,13 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, events=()):
 def _lane_rhs(y, k, th, beta, out):
     """The clamped right-hand side of :func:`integrate` on (2, m) states,
     written into ``out``: the one right-hand side of the lanes, for every
-    k.  Returns the clamped 1 - xi_t^2.
-
-    For k >= 12 the pole can overflow, and where w = 1 - xi_t^2 was not
-    clamped a nan is 0 * inf: e^{-2k xi} underflowed.  Those entries take
-    the product in log form, as :func:`_clamped_accel` does; clamped
-    trials keep their nan, so that the step is rejected.
-    """
+    k, with xi_t, 1 - xi_t^2 and -2k xi clamped as :func:`_clamped_accel`
+    clamps them before :func:`_pole_rhs`.  Returns the clamped
+    1 - xi_t^2."""
     v = np.where(np.abs(y[1]) < 1e150, y[1], 1e150)
     w = np.maximum(1.0 - v * v, 1e-30)
-    growth = np.exp(np.minimum(-2.0 * k * y[0], 700.0))
     out[0] = y[1]
-    out[1] = th * growth * w ** (1 - k) - beta * w
-    if k >= 12:
-        lost = np.isnan(out[1]) & (w > 1e-30)
-        out[1, lost] = th * np.exp(np.minimum(
-            -2.0 * k * y[0, lost] + (1 - k) * np.log(w[lost]), 700.0)) \
-            - beta * w[lost]
+    out[1] = _pole_rhs(np.minimum(-2.0 * k * y[0], 700.0), w, k, th, beta)
     return w
 
 
@@ -771,7 +761,7 @@ def _breakdown_time(t, xi, xi_t, n, k):
     b = _invariant_tail(n, k)
     with np.errstate(all="ignore"):  # extreme states overflow; then nan
         tail = b * np.exp(-n * xi)
-        E = (1.0 - xi_t * xi_t) ** k * np.exp((2.0 * k - n) * xi) - tail
+        E = np.asarray(ode_invariant(xi, xi_t, n, k))
         xi_b = np.log(-b / E) / n
         time = np.where(xi_t > 0.0, t + (xi_b - xi) / xi_t, math.inf)
     return np.where((E < -_SURE * tail) & np.isfinite(E + xi_b), time,
@@ -805,6 +795,18 @@ def _certified_breakdown(sure, t, xi, xi_t, T, n, k):
     arrays."""
     return sure & (_breakdown_time(t, xi, xi_t, n, k)
                    <= T - 1e-3 * max(1.0, T))
+
+
+def _failed_step(seed, t, xi, xi_t, T, n, k):
+    """The termination of one orbit from ``seed`` (xi0, xi_t0) whose step
+    failed at its last accepted state (xi, xi_t) at time t:
+    ``ellipticity_breakdown`` where :func:`_certified_breakdown` proves it,
+    ``step_failure`` otherwise.  The lanes label theirs by the same
+    rule."""
+    sure = ~np.isnan(_breakdown_time(0.0, *seed, n, k))
+    if _certified_breakdown(sure, t, xi, xi_t, T, n, k):
+        return "ellipticity_breakdown"
+    return "step_failure"
 
 
 def _stage_sum(weights, K):
@@ -967,6 +969,14 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, accepted=None):
     return end, cause
 
 
+def _check_count(**counts):
+    """Refuse a sample count that is not an integer of at least 2."""
+    for name, value in counts.items():
+        if not (hasattr(value, "__index__") and operator.index(value) >= 2):
+            raise ValueError(f"{name} must be an integer of at least 2, "
+                             f"got {value!r}")
+
+
 def _check_args(xi0, xi_t0, T, rtol, atol):
     """Refuse a seed with a nan or infinite xi0 or an inadmissible slope,
     an end time not positive and finite (``T=None`` skips it), and a nan,
@@ -1121,10 +1131,8 @@ def integrate_endpoint(xi0: float, xi_t0: float, T: float, n: int, k: int,
         if not rejected and h < min_step:
             h = min_step
         if not h >= min_step:
-            sure = ~np.isnan(_breakdown_time(0.0, x0, v0, n, k))
-            if _certified_breakdown(sure, t, x, v, T, n, k):
-                return math.nan, math.nan, "ellipticity_breakdown"
-            return math.nan, math.nan, "step_failure"
+            return math.nan, math.nan, _failed_step((x0, v0), t, x, v, T,
+                                                    n, k)
         t_new = min(t + h, T)
         h = t_new - t
 
@@ -1225,6 +1233,7 @@ def reconstruct(traj: Trajectory, num: int = 200) -> RadialProfile:
     The sigma_k residual column reports sigma_k(spectrum) - 1, which
     vanishes identically along exact trajectories.
     """
+    _check_count(num=num)
     n, k = traj.n, traj.k
     m = 0.5 * (n - 2.0)
     ts = np.linspace(0.0, traj.t_end, num)

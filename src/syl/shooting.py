@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,6 +31,7 @@ from .radial import (
     AnnulusProblem,
     LaneFan,
     RadialState,
+    _check_count,
     _survival_seed,
     brentq,
     integrate,
@@ -199,8 +199,12 @@ def _inner_slopes(seeds: np.ndarray, c1: float):
     return np.abs(xi_t0) <= 1.0 - SEED_MARGIN, xi_t0
 
 
-def _outer_residual(problem: AnnulusProblem, xi, xi_t):
-    """Outer Robin residuals of end states (xi, xi_t) arrays at r = R."""
+def _scan_residuals(problem: AnnulusProblem, ok, ends):
+    """Outer Robin residuals at r = R of a scan grid whose admissible
+    seeds ``ok`` ended in the (2, ok.sum()) states ``ends``; nan at the
+    other seeds."""
+    xi, xi_t = np.full((2,) + ok.shape, math.nan)
+    xi[ok], xi_t[ok] = ends
     # Not outer_bc_residual: np.exp and math.exp differ on 92,750 of
     # 2,000,000 uniform draws in [-30, 30], which would move the scan.
     return xi_t + problem.c2 * np.exp(-xi) / problem.R
@@ -219,11 +223,9 @@ def _make_residual(problem: AnnulusProblem, rtol: float, atol: float):
 
     def lanes(seeds: np.ndarray) -> np.ndarray:
         ok, xi_t0 = _inner_slopes(seeds, problem.c1)
-        xi, xi_t = np.full((2,) + seeds.shape, math.nan)
-        if ok.any():
-            xi[ok], xi_t[ok], _ = integrate_lanes(
-                seeds[ok], xi_t0[ok], T, n, k, rtol=rtol, atol=atol)
-        return _outer_residual(problem, xi, xi_t)
+        *ends, _ = integrate_lanes(seeds[ok], xi_t0[ok], T, n, k, rtol=rtol,
+                                   atol=atol)
+        return _scan_residuals(problem, ok, ends)
 
     def endpoint(s):
         seed = _seed_state(s, problem.c1)
@@ -332,16 +334,12 @@ def solve_annulus(
     diag.truncated_low = lead
     diag.truncated_high = trail
 
-    # Bracket sign changes between adjacent evaluated cells; an exact
-    # zero is its own bracket.  The last cell has no right neighbour.
-    a, b = residuals[:-1], residuals[1:]
-    both = ~(np.isnan(a) | np.isnan(b))
-    zero = both & (a == 0.0)
-    left = np.flatnonzero(zero | (both & (a * b < 0.0)))
+    # Bracket sign changes between adjacent cells, which a nan cell never
+    # makes; an exact zero is its own bracket, whatever its neighbours.
+    zero = residuals == 0.0
+    change = np.append(residuals[:-1] * residuals[1:] < 0.0, False)
+    left = np.flatnonzero(zero | change)
     right = np.where(zero[left], left, left + 1)
-    if residuals[-1] == 0.0:
-        left = np.append(left, grid.size - 1)
-        right = np.append(right, grid.size - 1)
     diag.brackets = list(zip(grid[left], grid[right]))
     s_star = (math.inf if _residuals is None
               else _survival_seed(problem.n, problem.k, problem.c1))
@@ -404,14 +402,6 @@ def _check_positive(**values):
                              f"got {value!r}")
 
 
-def _check_count(**counts):
-    """Refuse a sample count that is not an integer of at least 2."""
-    for name, value in counts.items():
-        if not (hasattr(value, "__index__") and operator.index(value) >= 2):
-            raise ValueError(f"{name} must be an integer of at least 2, "
-                             f"got {value!r}")
-
-
 def _check_zero_slope_atol(c1, grid, **atols):
     """Refuse a zero absolute tolerance where a seed has a zero component.
     At c1 = 0 every inner slope is 0, so no seed has an error scale in its
@@ -441,11 +431,10 @@ def _prober(n, k, c1, c2, scan, scan_rtol, scan_atol):
 
     def probe(R: float) -> ShootingResult:
         problem = AnnulusProblem(n, k, R, c1, c2)
-        xi, xi_t = np.full((2, grid.size), math.nan)
-        xi[ok], xi_t[ok] = fan.end_states(problem.T)
+        residuals = _scan_residuals(problem, ok, fan.end_states(problem.T))
         return solve_annulus(problem, scan=scan, scan_rtol=scan_rtol,
                              scan_atol=scan_atol, polish=False,
-                             _residuals=_outer_residual(problem, xi, xi_t))
+                             _residuals=residuals)
     return probe
 
 

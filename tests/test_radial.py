@@ -148,6 +148,14 @@ def test_trajectory_state_accessors_and_range_checks():
     s = traj.sample(64)
     assert s.shape == (64, 3)
     assert s[0, 0] == 0.0 and s[-1, 0] == pytest.approx(traj.t_end)
+    # A sample count must be an integer of at least two.
+    for num in (0, 1, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="integer of at least 2"):
+            traj.sample(num)
+        with pytest.raises(ValueError, match="integer of at least 2"):
+            radial.reconstruct(traj, num)
+    assert traj.sample(np.int64(5)).shape == (5, 3)
+    assert radial.reconstruct(traj, np.int64(5)).t.shape == (5,)
 
 
 def test_trajectory_xi_tt_matches_rhs():
@@ -327,7 +335,13 @@ def test_lane_fan_input_validation():
     for T in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="T must be"):
             fan.end_states(T)
-    # A grid with no admissible seed gives a fan of none.
+
+
+def test_lanes_accept_zero_seeds():
+    # A scan grid with no admissible seed integrates none.
+    xi, xi_t, cause = radial.integrate_lanes(np.zeros(0), np.zeros(0), 1.0,
+                                             5, 2)
+    assert xi.shape == xi_t.shape == cause.shape == (0,)
     assert radial.LaneFan([], [], 5, 2).end_states(1.0).shape == (2, 0)
 
 
@@ -373,13 +387,14 @@ def test_large_k_breakdown_follows_the_tanh_closed_form(deadline):
                 assert got[2] == cause == want, (rtol, T)
 
 
-def _large_k_lane_accel(x, v, n, k):
-    out = np.empty((2, 1))
+def _lane_accel(x, v, n, k):
+    """xi_tt of the lanes at states (x, v), scalars or 1-D arrays."""
+    y = np.array([np.ravel(x), np.ravel(v)])
+    out = np.empty_like(y)
     with np.errstate(all="ignore"):  # as in the lane loop
-        radial._lane_rhs(np.array([[x], [v]]), k,
-                         radial.theta_constant(n, k),
+        radial._lane_rhs(y, k, radial.theta_constant(n, k),
                          (n - 2.0 * k) / (2.0 * k), out)
-    return out[1, 0]
+    return out[1].reshape(np.shape(x))[()]
 
 
 def test_large_k_right_hand_side_takes_the_product_in_log_form():
@@ -390,7 +405,32 @@ def test_large_k_right_hand_side_takes_the_product_in_log_form():
     assert radial.ode_rhs(x, v, n, k) == pytest.approx(want, rel=1e-12)
     assert radial._clamped_accel(n, k)(x, v) == pytest.approx(want,
                                                              rel=1e-12)
-    assert _large_k_lane_accel(x, v, n, k) == pytest.approx(want, rel=1e-12)
+    assert _lane_accel(x, v, n, k) == pytest.approx(want, rel=1e-12)
+
+
+def test_ode_rhs_is_the_lanes_right_hand_side():
+    # On admissible states with -2k xi <= 700 the lanes clamp nothing, so
+    # ode_rhs and their second row run the same operations, the log form
+    # of large k included (it is taken where k >= 27 near the pole).
+    rng = np.random.default_rng(45)
+    logged = 0
+    for n in range(3, 40):
+        for k in range(1, n + 1):
+            x = np.concatenate([rng.uniform(-350.0 / k, 8.0, 60),
+                                rng.uniform(30.0, 60.0, 20)])
+            v = rng.uniform(-1.0, 1.0, 80) * (1.0 - 10.0 ** rng.uniform(
+                -11.9, 0.0, 80))
+            v[-20:] = np.copysign(1.0 - 10.0 ** rng.uniform(-11.9, -10.0, 20),
+                                  v[-20:])
+            assert (1.0 - v * v > radial.ETA_GUARD).all()
+            with np.errstate(all="ignore"):
+                want = radial.ode_rhs(x, v, n, k)
+                th = radial.theta_constant(n, k)
+                logged += np.isnan(th * np.exp(-2.0 * k * x)
+                                   * (1.0 - v * v) ** (1 - k)).sum()
+            np.testing.assert_array_equal(_lane_accel(x, v, n, k), want,
+                                          err_msg=f"{n}, {k}")
+    assert logged > 0
 
 
 def test_large_k_clamped_trials_keep_their_nan():
@@ -398,7 +438,7 @@ def test_large_k_clamped_trials_keep_their_nan():
     # its nan must stay, so that the step is rejected.
     n, k, x, v = 35, 28, 48.0, 1.0 + 1e-9
     assert math.isnan(radial._clamped_accel(n, k)(x, v))
-    assert math.isnan(_large_k_lane_accel(x, v, n, k))
+    assert math.isnan(_lane_accel(x, v, n, k))
 
 
 def test_integrate_does_not_warn_on_rejected_trial_steps():
@@ -680,6 +720,32 @@ def test_breakdown_time_reads_the_sign_of_the_invariant():
     traj = radial.integrate((-1.0, 0.5), 10.0, 5, 2)
     assert traj.termination == "ellipticity_breakdown"
     assert 1.0 + traj.t_end <= got[1]
+
+
+def test_breakdown_time_reads_e_from_the_invariant():
+    # Bit for bit the bound of the docstring with E from ode_invariant,
+    # on arrays and on the Python floats of integrate_endpoint.
+    rng = np.random.default_rng(46)
+    sure = 0
+    for n, k in ((3, 1), (5, 2), (7, 3), (8, 4), (9, 6), (35, 28)):
+        x = rng.uniform(-3.0, 3.0, 400)
+        v = rng.uniform(-1.0, 1.0, 400)
+        t = rng.uniform(0.0, 5.0, 400)
+        got = radial._breakdown_time(t, x, v, n, k)
+        with np.errstate(all="ignore"):
+            E = radial.ode_invariant(x, v, n, k)
+            b = 2.0 * k * radial.theta_constant(n, k) / n
+            want = np.where(v > 0.0, t + (np.log(-b / E) / n - x) / v,
+                            math.inf)
+        keep = E < -1e-6 * b * np.exp(-n * x)
+        np.testing.assert_array_equal(np.isnan(got), ~keep)
+        np.testing.assert_array_equal(got[keep], want[keep])
+        for i in range(0, 400, 10):
+            one = radial._breakdown_time(float(t[i]), float(x[i]),
+                                         float(v[i]), n, k)
+            assert one == got[i] or math.isnan(one) and math.isnan(got[i])
+        sure += keep.sum()
+    assert sure > 0
 
 
 def test_seeds_from_the_survival_seed_have_a_surely_positive_invariant():

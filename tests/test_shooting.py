@@ -971,6 +971,35 @@ def test_solve_annulus_accepts_roots_on_grid_points(monkeypatch):
     assert [s.xi0 for s in high] == [1.0]
 
 
+@pytest.mark.parametrize("residuals,root", [
+    ([-1.0, 0.0, math.nan, 1.0, 2.0], 0.1),
+    ([-1.0, math.nan, 0.0, 1.0, 2.0], 0.2),
+    ([1.0, 2.0, 3.0, math.nan, 0.0], 0.4),
+])
+def test_an_exact_scan_zero_is_bracketed_beside_a_nan(residuals, root):
+    # The zero with its nan on the right used to be dropped, and the solve
+    # answered "empty".
+    result = shooting.solve_annulus(
+        AnnulusProblem(5, 2, 5.0), scan=shooting.ScanSpec(0.0, 0.4, 5),
+        polish=False, _residuals=np.array(residuals))
+    assert result.diagnostics.brackets == [(root, root)]
+    assert result.status == "ok" and [s.xi0 for s in result] == [root]
+
+
+def test_a_scan_with_no_admissible_seed_integrates_none():
+    # At c1 = 50 no seed of the grid has an admissible inner slope, so the
+    # lanes of a solve and of a probe's fan run no seed at all.
+    problem = AnnulusProblem(5, 2, 5.0, c1=50.0)
+    scan = shooting.ScanSpec(-1.0, 1.0, 5)
+    residuals = shooting._make_residual(problem, 1e-7, 1e-9)(scan.grid)
+    assert np.isnan(residuals).all()
+    probe = shooting._prober(5, 2, 50.0, 0.0, scan, 1e-7, 1e-9)(5.0)
+    assert np.isnan(probe.diagnostics.residuals).all()
+    assert probe.status == shooting.solve_annulus(
+        problem, scan=scan, scan_rtol=1e-7, scan_atol=1e-9,
+        polish=False).status
+
+
 def test_solve_annulus_inconclusive_on_wide_interior_gap(monkeypatch):
     monkeypatch.setattr(
         shooting, "_make_residual",
