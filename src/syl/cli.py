@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import mobius, radial, schouten, shooting, symfn
+from . import _common, mobius, radial, schouten, shooting, symfn
 
 __all__ = ["main"]
 
@@ -121,8 +121,6 @@ def _cmd_solve_annulus(args):
                                  int(args.scan_num))
     result = shooting.solve_annulus(problem, scan=scan)
     payload = {
-        "command": "solve-annulus",
-        "config": _config_echo(args),
         "status": result.status,
         "solutions": [
             {"xi0": s.xi0, "xi_t0": s.xi_t0, "residual": s.residual,
@@ -152,8 +150,6 @@ def _cmd_rstar(args):
         r_init=float(args.r_init), R_max=float(args.r_max),
         rel_tol=float(args.rel_tol))
     payload = {
-        "command": "rstar",
-        "config": _config_echo(args),
         "status": result.status,
         "r_star": result.r_star,
         "bracket": list(result.bracket) if result.bracket else None,
@@ -169,7 +165,6 @@ def _cmd_counterexample(args):
         int(args.n), int(args.k), float(args.c), float(args.delta),
         eps_values)
     payload = {
-        "command": "counterexample",
         "config": {key: value for key, value in _config_echo(args).items()
                    if key != "eps"},
         "eps": eps_values,
@@ -190,8 +185,6 @@ def _cmd_cylinder(args):
     xi_cyl, scale = shooting.cylinder_solution(n, k)
     lam = schouten.radial_spectrum(xi_cyl, 0.0, 0.0, n)
     payload = {
-        "command": "cylinder",
-        "config": _config_echo(args),
         "xi_cyl": xi_cyl,
         "scale": scale,
         "sigma_k_residual": float(symfn.sigma_k(lam, k) - 1.0),
@@ -208,7 +201,6 @@ def _cmd_cone_check(args):
     sigmas = {f"sigma_{l}": float(symfn.sigma_k(lam, l))
               for l in range(1, k + 1)}
     payload = {
-        "command": "cone-check",
         "config": {"k": k, "lam": [float(v) for v in lam]},
         "in_gamma_k": bool(symfn.in_gamma_k(lam, k)),
         "sigmas": sigmas,
@@ -217,12 +209,10 @@ def _cmd_cone_check(args):
 
 
 def _check_count(args) -> int:
-    """``--count``, refused below 1: a check of no samples passes
-    vacuously."""
-    count = int(args.count)
-    if count < 1:
-        raise _CliError(f"--count must be at least 1, got {count}")
-    return count
+    """``--count``, refused unless an integer of at least 1: a check of no
+    samples passes vacuously."""
+    _common.check_count(1, **{"--count": args.count})
+    return args.count
 
 
 def _cmd_build_f(args):
@@ -237,8 +227,6 @@ def _cmd_build_f(args):
     samples = [np.exp(rng.normal(size=n)) for _ in range(count)]
     report = symfn.verify_axioms(built, samples, rng=rng)
     payload = {
-        "command": "build-f",
-        "config": _config_echo(args),
         "delta": built.delta,
         "axioms": report.as_dict(),
         "passed": bool(report.passed),
@@ -246,7 +234,7 @@ def _cmd_build_f(args):
     return payload, 0 if report.passed else 2
 
 
-def _verify_cone(count: int, tol: float, seed: int) -> dict:
+def _verify_cone(count: int, tol: float, seed: int, csv_dir) -> dict:
     rng = np.random.default_rng(seed)
     worst = 0.0
     passed = True
@@ -263,7 +251,7 @@ def _verify_cone(count: int, tol: float, seed: int) -> dict:
     return {"passed": passed, "max_violation": worst, "cases": details}
 
 
-def _verify_radial(count: int, tol: float, seed: int) -> dict:
+def _verify_radial(count: int, tol: float, seed: int, csv_dir) -> dict:
     rng = np.random.default_rng(seed)
     cases = {}
     passed = True
@@ -294,7 +282,7 @@ def _verify_radial(count: int, tol: float, seed: int) -> dict:
     return {"passed": passed, "cases": cases}
 
 
-def _verify_mobius(count: int, tol: float, seed: int) -> dict:
+def _verify_mobius(count: int, tol: float, seed: int, csv_dir) -> dict:
     rng = np.random.default_rng(seed)
     worst_gap = mobius.sphere_identity_sweep(4, count, rng=rng)
     n, a = 4, 1.3
@@ -311,17 +299,21 @@ def _verify_mobius(count: int, tol: float, seed: int) -> dict:
             "kelvin_self_invariance": kel_err}
 
 
-def _verify_reductions(count: int, tol: float, seed: int) -> dict:
+def _verify_reductions(count: int, tol: float, seed: int, csv_dir) -> dict:
     out = {}
     passed = True
     for n in (3, 4, 5):
         rep = mobius.verify_reduction_identities(n, count, seed=seed, tol=tol)
+        if n == 4 and csv_dir:
+            rep.write_csv(os.path.join(csv_dir, "reductions.csv"))
         out[f"n{n}"] = {"passed": bool(rep.passed),
                         "max_violation": max(rep.max_violation.values())}
         passed = passed and rep.passed
     return {"passed": passed, "cases": out}
 
 
+# Each suite maps (count, tol, seed, csv_dir) to its section of the
+# document; a suite with a table writes it into csv_dir unless that is None.
 _SUITES = {
     "cone": _verify_cone,
     "radial": _verify_radial,
@@ -336,22 +328,18 @@ def _cmd_verify(args):
     unknown = [nm for nm in names if nm not in _SUITES]
     if unknown:
         raise _CliError(f"unknown suite(s): {', '.join(unknown)}")
+    csv_dir = args.out if args.out and args.csv else None
+    if csv_dir:
+        os.makedirs(csv_dir, exist_ok=True)
     suites = {}
     for nm in names:
-        suites[nm] = _SUITES[nm](count, float(args.tol), int(args.seed))
+        suites[nm] = _SUITES[nm](count, float(args.tol), int(args.seed),
+                                 csv_dir)
     passed = all(s["passed"] for s in suites.values())
     payload = {
-        "command": "verify",
-        "config": _config_echo(args),
         "suites": suites,
         "passed": passed,
     }
-    if args.out and args.csv and "reductions" in names:
-        os.makedirs(args.out, exist_ok=True)
-        rep = mobius.verify_reduction_identities(4, count,
-                                                 seed=int(args.seed),
-                                                 tol=float(args.tol))
-        rep.write_csv(os.path.join(args.out, "reductions.csv"))
     return payload, 0 if passed else 2
 
 
@@ -421,6 +409,8 @@ def main(argv=None) -> int:
         handler, _, params = _COMMANDS[args.command]
         _fill(args, params)
         payload, code = handler(args)
+        payload = {"command": args.command,
+                   "config": _config_echo(args)} | payload
     except (_CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,13 +19,12 @@ Three layers:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import schouten
+from . import _common, schouten
 
 __all__ = [
     "Translation",
@@ -269,11 +268,8 @@ def moving_sphere_radius(
     If every radius up to ``lam_max`` (default: the cloud's outer radius)
     passes, the result is ``range_limited`` at ``lam_max``.
     """
-    if not 0.0 < bisect_tol < math.inf:
-        raise ValueError(f"bisect_tol must be positive and finite, "
-                         f"got {bisect_tol!r}")
-    if coarse < 1:
-        raise ValueError(f"coarse must be at least 1, got {coarse!r}")
+    _common.check_positive(bisect_tol=bisect_tol)
+    _common.check_count(1, coarse=coarse)
     x = _vec(x)
     Y = np.asarray(cloud, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != x.size:
@@ -315,14 +311,8 @@ def moving_sphere_radius(
             lo /= 1024.0
             if lo < 1e-30:
                 raise ValueError("no passing radius found above zero")
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # the bracket is two adjacent floats
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _common.bisect(lambda lam: not passes(lam), lo, hi,
+                            lambda lo: bisect_tol)
     return MovingSphereResult(0.5 * (lo + hi), "bracketed", (lo, hi),
                               lam_max, int(Y.shape[0]), tol)
 
@@ -357,8 +347,7 @@ def gradient_bound_check(
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
-    if not 0.0 < lam_bar < math.inf:
-        raise ValueError(f"lam_bar must be positive and finite: {lam_bar}")
+    _common.check_positive(lam_bar=lam_bar)
     x = _vec(x)
     Y = np.asarray(cloud, dtype=float)
     dist = np.sqrt(np.einsum("ij,ij->i", Y - x, Y - x))
@@ -430,8 +419,7 @@ def sphere_identity_sweep(n: int, count: int = 500, *, rng=None,
     Returns the worst (most negative) inequality gap seen; raises if any
     draw violates its inequality beyond ``tol``.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count!r}")
+    _common.check_count(1, count=count)
     if rng is None:
         rng = np.random.default_rng(0)
     worst = math.inf
@@ -595,13 +583,8 @@ class ReductionReport:
                    self.tol, self.max_violation[name] <= self.tol]
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["reduction", "max_violation", "worst_index",
-                             "tol", "passed"])
-            for name, violation, idx, tol, ok in self.rows():
-                writer.writerow([name, f"{violation:.17g}", idx,
-                                 f"{tol:.17g}", ok])
+        _common.write_csv(path, ["reduction", "max_violation", "worst_index",
+                                 "tol", "passed"], self.rows())
 
 
 def _spectrum_gap(sL: float, pL, nuL, HL, sR: float, pR, nuR, HR,
@@ -637,8 +620,7 @@ def verify_reduction_identities(n: int = 4, count: int = 1000, *,
     """
     if n < 3:
         raise ValueError("dimension must be at least 3")
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count!r}")
+    _common.check_count(1, count=count)
     rng = np.random.default_rng(seed)
     report = ReductionReport(n=n, count=count, seed=int(seed), tol=tol)
     for name in REDUCTION_NAMES:
@@ -646,11 +628,8 @@ def verify_reduction_identities(n: int = 4, count: int = 1000, *,
         report.worst_index[name] = -1
 
     def note(name, violation, idx):
-        if math.isnan(violation):  # a nan violation must fail its check
-            violation = math.inf
-        if violation > report.max_violation[name]:
-            report.max_violation[name] = float(violation)
-            report.worst_index[name] = idx
+        _common.note_worst(report.max_violation, report.worst_index, name,
+                           violation, idx)
 
     def push(name, idx, word, fld, data, s, p):
         """Push ``data`` through ``word`` and note the spectrum gap of

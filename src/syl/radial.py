@@ -19,7 +19,6 @@ eigenvalues.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 import warnings
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import schouten, symfn
+from . import _common, schouten, symfn
 
 __all__ = [
     "ETA_GUARD",
@@ -228,7 +227,7 @@ class Trajectory:
 
     def sample(self, num: int = 200) -> np.ndarray:
         """(num, 3) array of (t, xi, xi_t) equally spaced on [0, t_end]."""
-        _check_count(num=num)
+        _common.check_count(2, num=num)
         ts = np.linspace(0.0, self.t_end, num)
         xi, xi_t = self._eval(ts)
         return np.column_stack([ts, xi, xi_t])
@@ -969,14 +968,6 @@ def _lane_loop(y0, t, y, f, h, T, n, k, rtol, atol, accepted=None):
     return end, cause
 
 
-def _check_count(**counts):
-    """Refuse a sample count that is not an integer of at least 2."""
-    for name, value in counts.items():
-        if not (hasattr(value, "__index__") and operator.index(value) >= 2):
-            raise ValueError(f"{name} must be an integer of at least 2, "
-                             f"got {value!r}")
-
-
 def _check_args(xi0, xi_t0, T, rtol, atol):
     """Refuse a seed with a nan or infinite xi0 or an inadmissible slope,
     an end time not positive and finite (``T=None`` skips it), and a nan,
@@ -988,8 +979,8 @@ def _check_args(xi0, xi_t0, T, rtol, atol):
         ok = np.all(np.isfinite(xi0) & (1.0 - xi_t0 * xi_t0 > ETA_GUARD))
     if not ok:
         raise ValueError("initial state must be finite and admissible")
-    if T is not None and not 0.0 < T < math.inf:
-        raise ValueError("T must be positive and finite")
+    if T is not None:
+        _common.check_positive(T=T)
     if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):
         raise ValueError(f"rtol and atol must be finite and non-negative, "
                          f"got {rtol!r} and {atol!r}")
@@ -1215,11 +1206,7 @@ class RadialProfile:
             yield [float(c[i]) for c in cols]
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in self.rows():
-                writer.writerow([f"{v:.17g}" for v in row])
+        _common.write_csv(path, CSV_COLUMNS, self.rows())
 
 
 def reconstruct(traj: Trajectory, num: int = 200) -> RadialProfile:
@@ -1233,11 +1220,9 @@ def reconstruct(traj: Trajectory, num: int = 200) -> RadialProfile:
     The sigma_k residual column reports sigma_k(spectrum) - 1, which
     vanishes identically along exact trajectories.
     """
-    _check_count(num=num)
     n, k = traj.n, traj.k
     m = 0.5 * (n - 2.0)
-    ts = np.linspace(0.0, traj.t_end, num)
-    xi, xi_t = traj._eval(ts)
+    ts, xi, xi_t = np.ascontiguousarray(traj.sample(num).T)
     xi_tt = ode_rhs(xi, xi_t, n, k)
     r = np.exp(ts)
     u = u_from_xi(xi, ts, n)

@@ -20,7 +20,6 @@ On top of the basic solver sit three investigations:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,7 +30,6 @@ from .radial import (
     AnnulusProblem,
     LaneFan,
     RadialState,
-    _check_count,
     _survival_seed,
     brentq,
     integrate,
@@ -42,7 +40,7 @@ from .radial import (
     theta_constant,
     u_from_xi,
 )
-from . import schouten, symfn
+from . import _common, radial, schouten, symfn
 
 __all__ = [
     "ScanSpec",
@@ -114,7 +112,7 @@ class ScanSpec:
             raise ValueError("scan window must be finite")
         if not self.lo < self.hi:
             raise ValueError("scan window must have lo < hi")
-        _check_count(num=self.num)
+        _common.check_count(2, num=self.num)
 
     @property
     def grid(self) -> np.ndarray:
@@ -395,13 +393,6 @@ def solve_annulus(
     return ShootingResult(problem, tuple(merged), status, diag)
 
 
-def _check_positive(**values):
-    for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, "
-                             f"got {value!r}")
-
-
 def _check_zero_slope_atol(c1, grid, **atols):
     """Refuse a zero absolute tolerance where a seed has a zero component.
     At c1 = 0 every inner slope is 0, so no seed has an error scale in its
@@ -461,20 +452,6 @@ def _certain_brackets(grid, left, right, s_star, merge_tol):
             & (np.diff(grid).min() > merge_tol))
 
 
-def _bisect(upper, lo, hi, width):
-    """Halve [lo, hi] on the predicate ``upper`` (true on hi's side) while
-    hi - lo > width(lo); return the final (lo, hi)."""
-    while hi - lo > width(lo):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # the bracket is two adjacent floats
-        if upper(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 class _Inconclusive(Exception):
     """Raised when a radius probe's scan has a disqualifying gap."""
 
@@ -528,7 +505,8 @@ def find_r_star(
         raise ValueError("threshold search needs c1 + c2 < 0")
     if not (2 <= k and 2 * k < n):
         raise ValueError("threshold search needs 2 <= k < n/2")
-    _check_positive(rel_tol=rel_tol, shrink_limit=shrink_limit, R_max=R_max)
+    _common.check_positive(rel_tol=rel_tol, shrink_limit=shrink_limit,
+                           R_max=R_max)
     if not 1.0 < growth < math.inf:
         raise ValueError(f"growth must be finite and above 1, got {growth!r}")
     if not 1.0 < r_init < R_max:
@@ -571,7 +549,7 @@ def find_r_star(
                 hi = R_max
             else:
                 return "unresolved", None
-        return "ok", _bisect(solvable, lo, hi, lambda lo: rel_tol * lo)
+        return "ok", _common.bisect(solvable, lo, hi, lambda lo: rel_tol * lo)
 
     try:
         status, bracket = search()
@@ -615,7 +593,7 @@ def verify_bifurcation(
         raise ValueError(f"window must be positive, got {window!r}")
     if not 0.0 < span < 1.0:
         raise ValueError(f"span must lie in (0, 1), got {span!r}")
-    _check_positive(rel_tol=rel_tol)
+    _common.check_positive(rel_tol=rel_tol)
     thr = bifurcation_threshold(n, k)
     xi_c = cylinder_solution(n, k)[0]
     scan = ScanSpec(xi_c - window, xi_c + window, num)
@@ -632,7 +610,8 @@ def verify_bifurcation(
     if not (count(lo) <= 1 < count(hi)):
         return BifurcationResult(n, k, thr, None, None, "failed",
                                  tuple(history))
-    lo, hi = _bisect(lambda R: count(R) > 1, lo, hi, lambda lo: rel_tol * thr)
+    lo, hi = _common.bisect(lambda R: count(R) > 1, lo, hi,
+                            lambda lo: rel_tol * thr)
     located = 0.5 * (lo + hi)
     return BifurcationResult(n, k, thr, located, abs(located - thr) / thr,
                              "ok", tuple(history))
@@ -677,14 +656,8 @@ class CounterexampleSweep:
     R0: float
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_COLUMNS)
-            for row in self.rows:
-                out = []
-                for v in row.as_list():
-                    out.append(v if isinstance(v, str) else f"{v:.17g}")
-                writer.writerow(out)
+        _common.write_csv(path, SWEEP_COLUMNS,
+                          (row.as_list() for row in self.rows))
 
 
 def counterexample_sweep(
@@ -722,7 +695,7 @@ def counterexample_sweep(
         raise ValueError("needs a negative inner Robin constant c")
     if not 0.0 < delta < 0.5:
         raise ValueError("needs 0 < delta < 1/2")
-    _check_count(num_window=num_window)
+    _common.check_count(2, num_window=num_window)
     eps_values = [float(e) for e in eps_values]
     if not eps_values:
         raise ValueError("needs at least one eps")
@@ -754,13 +727,11 @@ def counterexample_sweep(
         termination = {"event:0": "window_exit", "event:1": "accel_zero"}.get(
             traj.termination, traj.termination)
 
-        pts = traj.sample(num_window)
-        ts, xi, xi_t = pts[:, 0], pts[:, 1], pts[:, 2]
-        r = np.exp(ts)
-        u = u_from_xi(xi, ts, n)
-        du = -m * (xi_t + 1.0) * u / r
+        # The inner Hessian reads xi_tt at the exact seed, not the
+        # profile's dense-output value there, which can differ in the last bit.
+        prof = radial.reconstruct(traj, num_window)
+        u, du = prof.u, prof.du
         u0 = float(u[0])
-        du0 = float(du[0])
         d2u0 = m * u0 * (-xi_tt0 + m * (xi_t0 + 1.0) ** 2 + (xi_t0 + 1.0))
         rows.append(CounterexampleRow(
             eps=eps, xi0=xi0, xi_t0=xi_t0, xi_tt0=float(xi_tt0),
@@ -768,7 +739,7 @@ def counterexample_sweep(
             sup_u=float(np.max(u)), sup_u_inv=float(np.max(1.0 / u)),
             sup_grad=float(np.max(np.abs(du))),
             sup_c1=float(np.max(np.abs(u) + 1.0 / u + np.abs(du))),
-            hessian_inner=max(abs(d2u0), abs(du0))))
+            hessian_inner=max(abs(d2u0), abs(float(du[0])))))
 
     R0 = math.exp(min(row.T_window for row in rows))
     return CounterexampleSweep(n, k, float(c), float(delta), tuple(rows), R0)

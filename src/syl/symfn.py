@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import fd
+from . import _common, fd
 
 __all__ = [
     "sigma_k",
@@ -452,10 +452,7 @@ def verify_axioms(
     skipped_hessians = 0
 
     def note(name, v, s):
-        if math.isnan(v):  # a nan violation must fail its check
-            v = math.inf
-        if v > viol[name]:
-            viol[name], where[name] = v, s
+        _common.note_worst(viol, where, name, v, s)
 
     for s in samples:
         val = f.value(s)

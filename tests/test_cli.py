@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import syl
-from syl import cli, shooting
+from syl import cli, mobius, shooting
 
 
 def _run(capsys, argv):
@@ -246,6 +246,19 @@ def test_invalid_input_exits_one_with_stderr_message(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("count", [2.5, True])
+@pytest.mark.parametrize("command", [["verify", "--suite", "cone"],
+                                     ["build-f", "--n", "5", "--k", "2"]])
+def test_config_count_that_is_not_an_integer_exits_one(capsys, tmp_path,
+                                                       command, count):
+    # A config count of 2.5 was truncated to 2, and true ran one sample.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"count": count}))
+    code, out, err = _run(capsys, command + ["--config", str(cfg)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: --count must be an integer of at least 1")
+
+
 def test_module_entry_point_runs_without_warnings():
     src = os.path.dirname(os.path.dirname(os.path.abspath(syl.__file__)))
     env = dict(os.environ)
@@ -352,3 +365,23 @@ def test_solve_annulus_csv_artifacts(capsys, tmp_path):
     assert header.split(",") == ["t", "xi", "xi_t", "xi_tt", "r", "u",
                                  "du", "d2u", "lam_rad", "lam_tan",
                                  "sigma_k_residual"]
+
+
+def test_verify_csv_is_the_suite_report(capsys, tmp_path, monkeypatch):
+    # reductions.csv is written from the suite's own n = 4 report, so the
+    # suite runs three reports, not a fourth one for the file.
+    calls = []
+    report_of = mobius.verify_reduction_identities
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return report_of(*args, **kwargs)
+
+    monkeypatch.setattr(mobius, "verify_reduction_identities", spy)
+    code, _ = _run_json(capsys, ["verify", "--suite", "reductions",
+                                 "--count", "5", "--seed", "7",
+                                 "--out", str(tmp_path), "--csv"])
+    assert code == 0 and calls == [3, 4, 5]
+    expected = tmp_path / "expected.csv"
+    report_of(4, 5, seed=7, tol=1e-9).write_csv(expected)
+    assert (tmp_path / "reductions.csv").read_bytes() == expected.read_bytes()

@@ -1,5 +1,6 @@
 """Tests for conformal maps, Kelvin transforms, and boundary-jet invariance."""
 
+import csv
 import math
 
 import numpy as np
@@ -274,7 +275,7 @@ def test_moving_sphere_bisection_stops_at_adjacent_floats():
     assert abs(res.lam_bar - 1.0 / a) < 1e-6
 
 
-@pytest.mark.parametrize("coarse", [0, -1])
+@pytest.mark.parametrize("coarse", [0, -1, 2.5, True])
 def test_moving_sphere_radius_refuses_an_empty_coarse_scan(coarse):
     # With no coarse radius tested it reported range_limited at lam_max.
     n = 4
@@ -388,7 +389,8 @@ def test_sphere_identity_validates_inputs():
         mobius.sphere_identity_check(x, 1.0, x, 2.0 * np.ones(n))
 
 
-@pytest.mark.parametrize("count", [0, -3])
+# A fractional count raised TypeError from range(), and True ran one sample.
+@pytest.mark.parametrize("count", [0, -3, 2.5, True, "3"])
 def test_randomized_checks_refuse_an_empty_count(count):
     with pytest.raises(ValueError, match="count"):
         mobius.sphere_identity_sweep(4, count)
@@ -582,5 +584,15 @@ def test_reduction_identities_pass_on_random_jets(tmp_path):
     text = out.read_text().strip().splitlines()
     assert len(text) == 1 + len(mobius.REDUCTION_NAMES)
     assert text[0].startswith("reduction,")
+    # The table reads back to the report's values, floats bit for bit.
+    with open(out, newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert [row["reduction"] for row in table] == list(report.max_violation)
+    for row in table:
+        name = row["reduction"]
+        assert float(row["max_violation"]) == report.max_violation[name]
+        assert int(row["worst_index"]) == report.worst_index[name]
+        assert float(row["tol"]) == report.tol
+        assert row["passed"] == str(report.max_violation[name] <= report.tol)
     with pytest.raises(ValueError):
         mobius.verify_reduction_identities(n=2, count=1)

@@ -1275,3 +1275,46 @@ def test_counterexample_sweep_bounded_gradient_unbounded_hessian(tmp_path):
     assert len(rows) == 1 + len(eps_values)
     assert float(rows[1][0]) == eps_values[0]
     assert rows[1][5] == "window_exit"
+    # Every float reads back bit for bit.
+    for row, cells in zip(sweep.rows, rows[1:]):
+        assert cells[5] == row.termination
+        assert [float(v) for i, v in enumerate(cells) if i != 5] == [
+            v for i, v in enumerate(row.as_list()) if i != 5]
+
+
+def _window_trajectory(n, k, delta, row):
+    """The trajectory of a sweep row, integrated as the sweep does."""
+    def window_exit(t, y):
+        return y[1] - (delta - 1.0)
+
+    def accel_zero(t, y):
+        return radial.ode_rhs(y[0], y[1], n, k)
+
+    window_exit.terminal = accel_zero.terminal = True
+    return radial.integrate((row.xi0, row.xi_t0), 10.0, n, k, rtol=1e-10,
+                            atol=1e-12, extra_events=(window_exit, accel_zero))
+
+
+def test_counterexample_sweep_profile_is_the_reconstructed_one():
+    # The sup columns are those of radial.reconstruct, bit for bit, while
+    # xi_tt0 and the inner Hessian read the float ode_rhs at the exact
+    # seed.  On the first row the array ode_rhs at the profile's first
+    # sample can differ from it in the last bit (it does with numpy's
+    # AVX-512 dispatch).
+    n, k, c, delta = 6, 2, -0.7834870539377539, 0.28577790652761126
+    sweep = shooting.counterexample_sweep(
+        n, k, c, delta, [0.06115844279701066, 1e-3], num_window=97)
+    m = 0.5 * (n - 2.0)
+    for row in sweep.rows:
+        traj = _window_trajectory(n, k, delta, row)
+        assert traj.t_end == row.T_window
+        prof = radial.reconstruct(traj, 97)
+        u, du = prof.u, prof.du
+        assert row.sup_u == float(np.max(u))
+        assert row.sup_u_inv == float(np.max(1.0 / u))
+        assert row.sup_grad == float(np.max(np.abs(du)))
+        assert row.sup_c1 == float(np.max(np.abs(u) + 1.0 / u + np.abs(du)))
+        assert row.xi_tt0 == radial.ode_rhs(row.xi0, row.xi_t0, n, k)
+        w = row.xi_t0 + 1.0
+        d2u0 = m * float(u[0]) * (-row.xi_tt0 + m * w ** 2 + w)
+        assert row.hessian_inner == max(abs(d2u0), abs(float(du[0])))
