@@ -18,13 +18,15 @@ def check_positive(**values):
 
 
 def check_count(minimum, **counts):
-    """Refuse a count that is not an integer of at least ``minimum``; a
-    bool is refused too, so ``count=True`` is not one sample."""
+    """Refuse a count that is not an integer of at least ``minimum`` (of
+    any value if ``minimum`` is None); a bool is refused too, so
+    ``count=True`` is not one sample."""
     for name, value in counts.items():
         if (isinstance(value, bool) or not hasattr(value, "__index__")
-                or operator.index(value) < minimum):
-            raise ValueError(f"{name} must be an integer of at least "
-                             f"{minimum}, got {value!r}")
+                or minimum is not None and operator.index(value) < minimum):
+            least = "" if minimum is None else f" of at least {minimum}"
+            raise ValueError(f"{name} must be an integer{least}, "
+                             f"got {value!r}")
 
 
 def bisect(upper, lo, hi, width):

@@ -74,16 +74,26 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, attr, value)
 
 
+# The least value of an integer parameter that has one: a check of no
+# samples passes vacuously.
+_LEAST = {"count": 1}
+
+
 def _fill(args: argparse.Namespace, params) -> None:
-    """Refuse unset required parameters, then apply the declared defaults."""
+    """Refuse unset required parameters, then apply the declared defaults.
+    An integer parameter is refused unless it is an integer, since a
+    config file can give 5.9 or true where the flag takes only integers."""
     missing = [name for name, _, default, *_ in params
                if default is ... and getattr(args, name) is None]
     if missing:
         raise _CliError("missing required parameter(s): "
                         + ", ".join(m.replace("_", "-") for m in missing))
-    for name, _, default, *_ in params:
+    for name, typ, default, *_ in params:
         if getattr(args, name) is None:
             setattr(args, name, default)
+        if typ is int:
+            _common.check_count(_LEAST.get(name), **{
+                "--" + name.replace("_", "-"): getattr(args, name)})
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -208,15 +218,7 @@ def _cmd_cone_check(args):
     return payload, 0
 
 
-def _check_count(args) -> int:
-    """``--count``, refused unless an integer of at least 1: a check of no
-    samples passes vacuously."""
-    _common.check_count(1, **{"--count": args.count})
-    return args.count
-
-
 def _cmd_build_f(args):
-    count = _check_count(args)
     n, k = int(args.n), int(args.k)
     alpha = float(args.alpha)
     base = symfn.sigma_root(k, n)
@@ -224,7 +226,7 @@ def _cmd_build_f(args):
         base.value, alpha, n=n, in_cone=base.in_cone,
         grad_h=base.gradient)
     rng = np.random.default_rng(int(args.seed))
-    samples = [np.exp(rng.normal(size=n)) for _ in range(count)]
+    samples = [np.exp(rng.normal(size=n)) for _ in range(args.count)]
     report = symfn.verify_axioms(built, samples, rng=rng)
     payload = {
         "delta": built.delta,
@@ -323,7 +325,6 @@ _SUITES = {
 
 
 def _cmd_verify(args):
-    count = _check_count(args)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     unknown = [nm for nm in names if nm not in _SUITES]
     if unknown:
@@ -333,7 +334,7 @@ def _cmd_verify(args):
         os.makedirs(csv_dir, exist_ok=True)
     suites = {}
     for nm in names:
-        suites[nm] = _SUITES[nm](count, float(args.tol), int(args.seed),
+        suites[nm] = _SUITES[nm](args.count, float(args.tol), int(args.seed),
                                  csv_dir)
     passed = all(s["passed"] for s in suites.values())
     payload = {
@@ -404,10 +405,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _merge_config(args)
-        if args.seed is None:
-            args.seed = 0
         handler, _, params = _COMMANDS[args.command]
-        _fill(args, params)
+        _fill(args, params + [("seed", int, 0)])
         payload, code = handler(args)
         payload = {"command": args.command,
                    "config": _config_echo(args)} | payload

@@ -10,7 +10,7 @@ the module.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,66 +71,79 @@ def schouten_matrix(sample: ConformalFactorSample) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=None)
-def _lower_triangle(n: int) -> np.ndarray:
-    """Boolean n x n mask of the entries on and below the diagonal."""
-    mask = np.tri(n, dtype=bool)
-    mask.flags.writeable = False  # one array serves every caller
-    return mask
+def _hypot1(x: np.ndarray) -> np.ndarray:
+    """hypot(1, x) element-wise through ``math.hypot``, whose last bit
+    can differ from libm's ``np.hypot``."""
+    return np.fromiter(map(math.hypot, itertools.repeat(1.0), x.tolist()),
+                       float, len(x))
 
 
 def eigenvalues(A: np.ndarray, *, sym_tol: float = 1e-9) -> np.ndarray:
-    """Spectrum of a small dense symmetric matrix, sorted non-increasing.
+    """Spectra of small dense symmetric matrices, each sorted non-increasing.
 
-    Cyclic Jacobi rotations: deterministic, no external solver involved,
-    accurate for the n <= 16 matrices this package produces.  Each
-    rotation updates rows p and q, then columns p and q, of the matrix
-    held as lists of Python floats: every product and difference rounds
-    as the same numpy array operation would, without numpy's per-call
-    cost on rows this short.  The off-diagonal norm that ends the sweeps
-    stays a numpy sum of ``np.triu(a, 1) ** 2``, because numpy's pairwise
-    summation order is not a left-to-right float loop's; the triangle is
-    cut by a mask kept per n rather than rebuilt every sweep.  Non-finite
-    entries are refused, and so is a ``sym_tol`` outside [0, inf): a nan
-    one would skip the symmetry check and a negative one fail it always.
+    ``A`` is one matrix (n, n) or a stack (..., n, n); the result has shape
+    (..., n).  Cyclic Jacobi rotations, run over the whole stack in
+    lockstep: deterministic, no external solver involved, accurate for the
+    n <= 16 matrices this package produces.  Each matrix keeps its own
+    scale, its own off-diagonal norm test (a pairwise sum over its n x n
+    upper triangle, as ``np.sum`` rounds it) and its own skipped
+    rotations, so it gets the same bits in any stack as alone.  A
+    converged matrix leaves the live stack.  Non-finite entries are
+    refused, and so is a ``sym_tol`` outside [0, inf): a nan one would
+    skip the symmetry check and a negative one fail it always.
     """
     if not 0.0 <= sym_tol < math.inf:
         raise ValueError(f"sym_tol must be finite and >= 0: {sym_tol}")
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.isfinite(A).all():
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
+        raise ValueError("matrix must be square and non-empty")
+    lead, n = A.shape[:-2], A.shape[-1]
+    a = A.reshape(-1, n, n)
+    if not np.isfinite(a).all():
         raise ValueError("matrix must be finite")
-    scale = 1.0 + float(np.abs(A).max())
-    if float(np.abs(A - A.T).max()) > sym_tol * scale:
+    scale = 1.0 + np.abs(a).max(axis=(1, 2))
+    at = a.transpose(0, 2, 1)
+    if (np.abs(a - at).max(axis=(1, 2)) > sym_tol * scale).any():
         raise ValueError("matrix must be symmetric")
-    a = (0.5 * (A + A.T)).tolist()
-    n = len(a)
-    lower = _lower_triangle(n)
+    a = 0.5 * (a + at)
+    out = np.empty((len(a), n))
+    live = np.arange(len(a))
+    lower = np.tri(n, dtype=bool)
 
     for _ in range(60):
-        upper = np.where(lower, 0.0, np.array(a))
-        off = math.sqrt(2.0 * float(np.sum(upper ** 2)))
-        if off <= 1e-15 * scale:
+        upper = np.where(lower, 0.0, a).reshape(len(a), n * n)
+        off = np.sqrt(2.0 * np.add.reduce(upper ** 2, axis=-1))
+        done = off <= 1e-15 * scale[live]
+        if done.any():
+            out[live[done]] = a[done].diagonal(axis1=1, axis2=2)
+            a, live = a[~done], live[~done]
+        if not len(live):
             break
+        tiny = 1e-18 * scale[live]
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq) <= 1e-18 * scale:
+                # A member whose a_pq is negligible skips the rotation
+                # untouched: c = 1, s = 0 would still flip zero signs.
+                rot = np.abs(a[:, p, q]) > tiny
+                if rot.all():
+                    b = a
+                elif rot.any():
+                    b = a[rot]
+                else:
                     continue
-                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp, rq = a[p], a[q]
-                a[p] = [c * x - s * y for x, y in zip(rp, rq)]
-                a[q] = [s * x + c * y for x, y in zip(rp, rq)]
-                for row in a:
-                    x, y = row[p], row[q]
-                    row[p] = c * x - s * y
-                    row[q] = s * x + c * y
-                a[p][q] = a[q][p] = 0.0
-    return np.sort([a[i][i] for i in range(n)])[::-1].copy()
+                tau = (b[:, q, q] - b[:, p, p]) / (2.0 * b[:, p, q])
+                t = np.copysign(1.0, tau) / (np.abs(tau) + _hypot1(tau))
+                c = (1.0 / _hypot1(t))[:, None]
+                s = t[:, None] * c
+                rp, rq = b[:, p], b[:, q]
+                b[:, p], b[:, q] = c * rp - s * rq, s * rp + c * rq
+                cp, cq = b[:, :, p], b[:, :, q]
+                b[:, :, p], b[:, :, q] = c * cp - s * cq, s * cp + c * cq
+                b[:, p, q] = b[:, q, p] = 0.0
+                if b is not a:
+                    a[rot] = b
+    out[live] = a.diagonal(axis1=1, axis2=2)
+    return np.sort(out, axis=-1)[:, ::-1].reshape(*lead, n).copy()
 
 
 def rank_one_spectrum(mu: float, x, nu: float) -> np.ndarray:

@@ -259,6 +259,24 @@ def test_config_count_that_is_not_an_integer_exits_one(capsys, tmp_path,
     assert err.startswith("error: --count must be an integer of at least 1")
 
 
+@pytest.mark.parametrize("config,flag", [
+    ({"n": 5.9, "k": 2}, "--n"),
+    ({"n": 5, "k": True}, "--k"),
+    ({"n": 5, "k": 2, "R": 5.0, "scan_num": 2.5}, "--scan-num"),
+    ({"n": 5, "k": 2, "seed": 1.5}, "--seed"),
+])
+def test_config_integer_parameter_that_is_not_an_integer_exits_one(
+        capsys, tmp_path, config, flag):
+    # Each was truncated, or read as 1, and echoed as given, with exit 0.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    command = "solve-annulus" if "R" in config else "cylinder"
+    code, out, err = _run(capsys, [command, "--config", str(cfg)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {flag} must be an integer, got ")
+    # test_config_file_fills_missing_arguments keeps {"n": 5} working.
+
+
 def test_module_entry_point_runs_without_warnings():
     src = os.path.dirname(os.path.dirname(os.path.abspath(syl.__file__)))
     env = dict(os.environ)

@@ -547,7 +547,8 @@ def test_householder_rotation_sends_the_normal_to_the_first_axis():
 @pytest.mark.parametrize("target", ["_spectrum_gap", "center_decomposition"])
 def test_reduction_identities_fail_on_a_nan_violation(monkeypatch, target):
     if target == "_spectrum_gap":
-        monkeypatch.setattr(mobius, "_spectrum_gap", lambda *a: math.nan)
+        monkeypatch.setattr(mobius, "_spectrum_gap",
+                            lambda pairs: np.full(len(pairs), math.nan))
         failing = set(mobius.REDUCTION_NAMES) - {"center_decomposition"}
     else:
         # only the word's inversion sits at the origin: a nan differential
@@ -565,6 +566,23 @@ def test_reduction_identities_fail_on_a_nan_violation(monkeypatch, target):
         assert (report.max_violation[name] == math.inf) == (name in failing)
         if name in failing:
             assert report.worst_index[name] == 0
+
+
+@pytest.mark.parametrize("n,count", [(3, 1), (5, 7)])
+def test_reduction_identities_diagonalize_one_stack(monkeypatch, n, count):
+    # Five reductions compare two canonical spectra per jet: 10 * count
+    # matrices, as 5 * count pairs, in one Jacobi call, where one call per
+    # matrix made 10 * count.
+    shapes = []
+    solve = mobius.schouten.eigenvalues
+
+    def recording(A, **kw):
+        shapes.append(np.shape(A))
+        return solve(A, **kw)
+
+    monkeypatch.setattr(mobius.schouten, "eigenvalues", recording)
+    assert mobius.verify_reduction_identities(n, count, seed=2).passed
+    assert shapes == [(5 * count, 2, n, n)]
 
 
 def test_reduction_identities_pass_on_random_jets(tmp_path):

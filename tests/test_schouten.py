@@ -63,7 +63,7 @@ def test_eigenvalues_refuses_a_symmetry_tolerance_outside_0_inf(sym_tol):
 
 def _numpy_rotation_loop(A, sym_tol=1e-9):
     """The cyclic Jacobi loop as numpy row and column operations: the
-    reference the float-row rotations must reproduce bit for bit."""
+    reference the stacked rotations must reproduce bit for bit."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
@@ -123,10 +123,44 @@ def test_eigenvalues_equal_the_numpy_rotation_loop_bit_for_bit():
             for _ in range(5):
                 y = rng.normal(size=n)
                 matrices.append(schouten.schouten_matrix(factor.sample(y)))
-    mismatches = [A for A in matrices
-                  if schouten.eigenvalues(A).tobytes()
-                  != _numpy_rotation_loop(A).tobytes()]
+    lone = [schouten.eigenvalues(A) for A in matrices]
+    mismatches = [A for A, lam in zip(matrices, lone)
+                  if lam.tobytes() != _numpy_rotation_loop(A).tobytes()]
     assert not mismatches, f"{len(mismatches)} of {len(matrices)} differ"
+    # As stacks grouped by n: the draws mix scales and sparsity, so the
+    # members converge on different sweeps and skip different rotations.
+    by_n = {}
+    for A, lam in zip(matrices, lone):
+        by_n.setdefault(A.shape[0], []).append((A, lam))
+    for n, group in by_n.items():
+        stacked = schouten.eigenvalues(np.array([A for A, _ in group]))
+        assert stacked.shape == (len(group), n)
+        for row, (_, lam) in zip(stacked, group):
+            assert row.tobytes() == lam.tobytes(), n
+
+
+def test_eigenvalues_of_a_stack_keep_its_leading_shape():
+    rng = np.random.default_rng(47)
+    M = rng.normal(size=(2, 3, 4, 4))
+    A = M + np.swapaxes(M, -1, -2)
+    got = schouten.eigenvalues(A)
+    assert got.shape == (2, 3, 4)
+    for i in range(2):
+        for j in range(3):
+            assert got[i, j].tobytes() == schouten.eigenvalues(A[i, j]).tobytes()
+    assert schouten.eigenvalues(np.zeros((0, 3, 3))).shape == (0, 3)
+    with pytest.raises(ValueError):
+        schouten.eigenvalues(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("bad,message", [(math.nan, "finite"),
+                                         (math.inf, "finite"),
+                                         (0.5, "symmetric")])
+def test_eigenvalues_refuse_a_stack_with_one_bad_member(bad, message):
+    A = np.stack([np.eye(3)] * 4)
+    A[2, 0, 1] = bad
+    with pytest.raises(ValueError, match=message):
+        schouten.eigenvalues(A)
 
 
 def test_eigenvalues_match_a_50_digit_oracle(monkeypatch):
@@ -138,13 +172,14 @@ def test_eigenvalues_match_a_50_digit_oracle(monkeypatch):
     solve = schouten.eigenvalues
 
     def recording(A, **kw):
-        seen.append(np.array(A))
+        seen.extend(np.array(A).reshape(-1, *np.shape(A)[-2:]))
         return solve(A, **kw)
 
     monkeypatch.setattr(schouten, "eigenvalues", recording)
     for n in (3, 4, 5):
         mobius.verify_reduction_identities(n, 4, seed=n)
     monkeypatch.undo()
+    assert len(seen) == 3 * 10 * 4
     matrices = seen + list(_symmetric_draws(np.random.default_rng(5), 48))
     for A in matrices:
         with mpmath.workdps(50):
